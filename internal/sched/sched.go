@@ -74,8 +74,8 @@ type procKey struct {
 
 type cpuRun struct {
 	id     int
-	sched  *Scheduler // back-pointer for the static slice-timer callback
-	subs   []subQueue // runqueue, partitioned by cgroup (see runqueue.go)
+	sched  *Scheduler  // back-pointer for the static slice-timer callback
+	subs   []subQueue  // runqueue, partitioned by cgroup (see runqueue.go)
 	subs0  [2]subQueue // embedded backing of subs: ungrouped + one cgroup
 	queued int32       // total tasks across subs (throttled included)
 
@@ -675,7 +675,7 @@ func (s *Scheduler) startProgram(t *Task, homeCPU int) {
 			s.makeRunnable(t, homeCPU)
 			return
 		case ActRecv:
-			if len(t.pendingDeliver) > 0 {
+			if t.hasMail() {
 				continue // message already waiting; program consumes via TakeMessage
 			}
 			t.state = stateBlockedRecv
@@ -799,7 +799,7 @@ func (s *Scheduler) deliver(from *Task, to *Task, bytes int64, senderCPU int) {
 	if to.finished {
 		return
 	}
-	to.pendingDeliver = append(to.pendingDeliver, Message{From: from, Bytes: bytes, sentCPU: senderCPU})
+	to.deliverMail(Message{From: from, Bytes: bytes, sentCPU: senderCPU})
 	if to.state == stateBlockedRecv {
 		// Line-transfer cost: pulling the payload's cache lines to wherever
 		// the receiver lands; charged at dispatch via pendingOverhead with
@@ -1112,7 +1112,10 @@ func (s *Scheduler) leastLoadedCPU(t *Task, except *cpuRun) *cpuRun {
 			}
 		}
 	}
-	// No load-0 CPU available: full scan for the true minimum.
+	// No load-0 CPU available: scan for the true minimum. idleMask mirrors
+	// current == nil, so every allowed CPU now has load >= 1 and the first
+	// load-1 CPU in ascending order is the minimum the full scan would
+	// return.
 	var best *cpuRun
 	bestLoad := 1 << 30
 	for _, id := range slice {
@@ -1121,6 +1124,9 @@ func (s *Scheduler) leastLoadedCPU(t *Task, except *cpuRun) *cpuRun {
 		}
 		if l := s.loadOf(id); l < bestLoad {
 			best, bestLoad = s.cpus[id], l
+			if l <= 1 {
+				break
+			}
 		}
 	}
 	return best

@@ -200,8 +200,13 @@ type Task struct {
 	// the charge would spiral small-quota groups into a livelock.
 	pendingChurn      sim.Time
 	pendingIRQ        *irqsim.Channel // IO channel whose completion cost to pay
-	pendingDeliver    []Message       // undelivered mailbox
 	pendingMsgFromCPU int             // sender CPU of the message that woke us (-1 none)
+
+	// mailbox holds undelivered messages in mailbox[mailHead:]. Taking a
+	// message advances mailHead instead of reslicing, so one backing array
+	// serves the task's whole run (see deliverMail and TakeMessage).
+	mailbox  []Message
+	mailHead int
 
 	// A send in flight is modeled as a message chunk; when it ends, the
 	// message is delivered.
@@ -236,12 +241,32 @@ func (t *Task) ResponseTime() sim.Time {
 // TakeMessage pops the oldest mailbox message, if any. Programs call this
 // after a Recv action completes.
 func (t *Task) TakeMessage() (Message, bool) {
-	if len(t.pendingDeliver) == 0 {
+	if !t.hasMail() {
 		return Message{}, false
 	}
-	m := t.pendingDeliver[0]
-	t.pendingDeliver = t.pendingDeliver[1:]
+	m := t.mailbox[t.mailHead]
+	t.mailHead++
+	if t.mailHead == len(t.mailbox) {
+		t.mailbox = t.mailbox[:0]
+		t.mailHead = 0
+	}
 	return m, true
+}
+
+// hasMail reports whether an undelivered message is waiting. Slots before
+// mailHead were already taken and never count.
+func (t *Task) hasMail() bool { return t.mailHead < len(t.mailbox) }
+
+// deliverMail appends m to the mailbox. Before append would grow a backing
+// array whose front holds taken slots, the live tail moves to the front, so
+// a mailbox that never fully drains stays bounded by its peak backlog.
+func (t *Task) deliverMail(m Message) {
+	if len(t.mailbox) == cap(t.mailbox) && t.mailHead > 0 {
+		n := copy(t.mailbox, t.mailbox[t.mailHead:])
+		t.mailbox = t.mailbox[:n]
+		t.mailHead = 0
+	}
+	t.mailbox = append(t.mailbox, m)
 }
 
 func (t *Task) String() string {

@@ -71,42 +71,58 @@ type mpiStep struct {
 }
 
 type mpiRank struct {
-	w          *MPISearch
-	rank       int
-	ranks      int
-	peers      []*sched.Task
-	round      int
-	phase      int
+	w     *MPISearch
+	rank  int
+	ranks int
+	peers []*sched.Task
+	round int
+	phase int
+	// queue holds the pending steps in queue[qHead:]; popping advances
+	// qHead, so the rank reuses one backing array for its whole run.
 	queue      []mpiStep
+	qHead      int
 	perRound   sim.Time
 	blockBytes int64
 }
 
-func (r *mpiRank) kids() []int {
-	var k []int
+// kids returns the rank's children in the binary reduction tree: k[:n].
+func (r *mpiRank) kids() (k [2]int, n int) {
 	if c := 2*r.rank + 1; c < r.ranks {
-		k = append(k, c)
+		k[n] = c
+		n++
 	}
 	if c := 2*r.rank + 2; c < r.ranks {
-		k = append(k, c)
+		k[n] = c
+		n++
 	}
-	return k
+	return k, n
+}
+
+// push appends a step. Before append would grow a backing array whose
+// front holds popped steps, the live tail moves to the front.
+func (r *mpiRank) push(s mpiStep) {
+	if len(r.queue) == cap(r.queue) && r.qHead > 0 {
+		n := copy(r.queue, r.queue[r.qHead:])
+		r.queue = r.queue[:n]
+		r.qHead = 0
+	}
+	r.queue = append(r.queue, s)
 }
 
 func (r *mpiRank) pushSend(to int, bytes int64) {
-	r.queue = append(r.queue, mpiStep{send: sched.Send(r.peers[to], bytes)})
+	r.push(mpiStep{send: sched.Send(r.peers[to], bytes)})
 }
 
 func (r *mpiRank) pushRecv(n int) {
 	if n > 0 {
-		r.queue = append(r.queue, mpiStep{recv: n})
+		r.push(mpiStep{recv: n})
 	}
 }
 
 // Next implements sched.Program as a per-rank state machine.
 func (r *mpiRank) Next(t *sched.Task) sched.Action {
-	for len(r.queue) > 0 {
-		head := &r.queue[0]
+	for r.qHead < len(r.queue) {
+		head := &r.queue[r.qHead]
 		if head.recv > 0 {
 			if _, ok := t.TakeMessage(); ok {
 				head.recv--
@@ -115,7 +131,11 @@ func (r *mpiRank) Next(t *sched.Task) sched.Action {
 			return sched.Recv()
 		}
 		a := head.send
-		r.queue = r.queue[1:]
+		r.qHead++
+		if r.qHead == len(r.queue) {
+			r.queue = r.queue[:0]
+			r.qHead = 0
+		}
 		if a.Kind == sched.ActSend {
 			return a
 		}
@@ -154,8 +174,8 @@ func (r *mpiRank) Next(t *sched.Task) sched.Action {
 		return r.Next(t)
 	case mpiReduce:
 		r.phase = mpiBcastRecv
-		kids := r.kids()
-		r.pushRecv(len(kids)) // children's partial results first
+		_, nk := r.kids()
+		r.pushRecv(nk) // children's partial results first
 		if r.rank != 0 {
 			r.pushSend((r.rank-1)/2, 64)
 		}
@@ -165,7 +185,8 @@ func (r *mpiRank) Next(t *sched.Task) sched.Action {
 			// Consume the parent's broadcast before forwarding.
 			r.pushRecv(1)
 		}
-		for _, k := range r.kids() {
+		kids, nk := r.kids()
+		for _, k := range kids[:nk] {
 			r.pushSend(k, 64)
 		}
 		r.phase = mpiBcast

@@ -93,26 +93,10 @@ type nosqlOp struct {
 	cpu     sim.Time
 }
 
-type nosqlInstance struct {
-	responses []sim.Time
-}
-
-// Metric implements Instance: mean op response time in seconds.
-func (ni *nosqlInstance) Metric(machine.Result) float64 {
-	if len(ni.responses) == 0 {
-		return 0
-	}
-	var sum sim.Time
-	for _, r := range ni.responses {
-		sum += r
-	}
-	return (sum / sim.Time(len(ni.responses))).Seconds()
-}
-
 type nosqlThread struct {
 	m       *machine.Machine
 	w       *NoSQL
-	inst    *nosqlInstance
+	inst    *meanResponse
 	ops     []nosqlOp
 	idx     int
 	step    int
@@ -152,7 +136,7 @@ func (th *nosqlThread) Next(t *sched.Task) sched.Action {
 		th.step = 5
 		return sched.IO(irqsim.ChanNIC, th.w.SocketLatency)
 	case 5:
-		th.inst.responses = append(th.inst.responses, th.m.Eng.Now()-op.arrival)
+		th.inst.record(th.m.Eng.Now() - op.arrival)
 		th.idx++
 		th.step = 0
 		return th.Next(t)
@@ -173,12 +157,19 @@ func (w NoSQL) Spawn(env Env) Instance {
 	}
 	miss := w.MissProb(env.MemGB)
 	thrash := w.Thrashing(env.MemGB)
-	inst := &nosqlInstance{}
+	inst := &meanResponse{}
 	rng := env.M.RNG
 
 	// Build the global op sequence (uniform arrivals over the window),
 	// dealt round-robin to threads like a client connection pool.
 	perThread := make([][]nosqlOp, threads)
+	// Each thread gets at most ops/threads+1 ops: carve its list from one
+	// presized backing so dealing never grows a slice.
+	per := ops/threads + 1
+	back := make([]nosqlOp, threads*per)
+	for i := range perThread {
+		perThread[i] = back[i*per : i*per : (i+1)*per]
+	}
 	for i := 0; i < ops; i++ {
 		op := nosqlOp{
 			arrival: sim.Time(int64(w.Window) * int64(i) / int64(ops)),

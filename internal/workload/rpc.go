@@ -59,22 +59,6 @@ func DefaultMicroservice() Microservice {
 // Name implements Workload.
 func (w Microservice) Name() string { return "microservice" }
 
-type msInstance struct {
-	responses []sim.Time
-}
-
-// Metric implements Instance: mean request response time in seconds.
-func (mi *msInstance) Metric(machine.Result) float64 {
-	if len(mi.responses) == 0 {
-		return 0
-	}
-	var sum sim.Time
-	for _, r := range mi.responses {
-		sum += r
-	}
-	return (sum / sim.Time(len(mi.responses))).Seconds()
-}
-
 // msBackend serves `expect` RPCs: receive, handle, reply to the caller.
 type msBackend struct {
 	w      *Microservice
@@ -113,7 +97,7 @@ func (b *msBackend) Next(t *sched.Task) sched.Action {
 type msFrontend struct {
 	m       *machine.Machine
 	w       *Microservice
-	inst    *msInstance
+	inst    *meanResponse
 	backend *sched.Task
 	left    int
 	step    int
@@ -148,7 +132,7 @@ func (f *msFrontend) Next(t *sched.Task) sched.Action {
 			f.step = 6
 			return sched.IO(irqsim.ChanNIC, f.w.SocketLatency) // write response
 		case 6:
-			f.inst.responses = append(f.inst.responses, f.m.Eng.Now())
+			f.inst.record(f.m.Eng.Now())
 			f.left--
 			f.step = 0
 		default:
@@ -180,7 +164,7 @@ func (w Microservice) Spawn(env Env) Instance {
 	if be > fe {
 		be = fe
 	}
-	inst := &msInstance{}
+	inst := &meanResponse{}
 
 	// Request shares per frontend, and per-backend expectations from the
 	// static frontend→backend partition.

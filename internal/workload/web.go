@@ -49,26 +49,10 @@ func DefaultWeb() Web {
 // Name implements Workload.
 func (w Web) Name() string { return "wordpress" }
 
-type webInstance struct {
-	responses []sim.Time
-}
-
-// Metric implements Instance: mean request response time in seconds.
-func (wi *webInstance) Metric(machine.Result) float64 {
-	if len(wi.responses) == 0 {
-		return 0
-	}
-	var sum sim.Time
-	for _, r := range wi.responses {
-		sum += r
-	}
-	return (sum / sim.Time(len(wi.responses))).Seconds()
-}
-
 type webWorker struct {
 	m    *machine.Machine
 	w    *Web
-	inst *webInstance
+	inst *meanResponse
 	// hitsDisk[i] precomputes the page-cache outcome of request i.
 	hitsDisk []bool
 	idx      int
@@ -106,7 +90,7 @@ func (ww *webWorker) Next(*sched.Task) sched.Action {
 	case 6:
 		// All requests were submitted at t=0 (JMeter's simultaneous burst),
 		// so a request's response time is simply its completion time.
-		ww.inst.responses = append(ww.inst.responses, ww.m.Eng.Now())
+		ww.inst.record(ww.m.Eng.Now())
 		ww.idx++
 		ww.step = 0
 		return ww.Next(nil)
@@ -131,7 +115,7 @@ func (w Web) Spawn(env Env) Instance {
 	if workers > n {
 		workers = n
 	}
-	inst := &webInstance{}
+	inst := &meanResponse{}
 	rng := env.M.RNG
 	perWorker := make([][]bool, workers)
 	for i := 0; i < n; i++ {

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/cgroups"
 	"repro/internal/machine"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -58,10 +59,27 @@ type makespanMetric struct{}
 
 func (makespanMetric) Metric(res machine.Result) float64 { return res.Makespan.Seconds() }
 
-// meanResponseMetric reports mean per-task response (WordPress figure).
-type meanResponseMetric struct{}
+// meanResponse reports the mean of the response times its programs record
+// (WordPress, Cassandra and microservice figures). It keeps only their sum
+// and count: sim.Time is an integer, so the sum does not depend on the
+// order responses arrive in.
+type meanResponse struct {
+	sum sim.Time
+	n   int
+}
 
-func (meanResponseMetric) Metric(res machine.Result) float64 { return res.MeanResponse.Seconds() }
+func (m *meanResponse) record(r sim.Time) {
+	m.sum += r
+	m.n++
+}
+
+// Metric implements Instance: the mean response time in seconds.
+func (m *meanResponse) Metric(machine.Result) float64 {
+	if m.n == 0 {
+		return 0
+	}
+	return (m.sum / sim.Time(m.n)).Seconds()
+}
 
 func checkEnv(env Env, name string) {
 	if env.M == nil {

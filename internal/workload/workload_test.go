@@ -168,9 +168,8 @@ func TestNoSQLRunsAndRecordsResponses(t *testing.T) {
 	if res.TimedOut {
 		t.Fatal("nosql run wedged")
 	}
-	ni := inst.(*nosqlInstance)
-	if len(ni.responses) != 100 {
-		t.Fatalf("recorded %d op responses, want 100", len(ni.responses))
+	if n := inst.(*meanResponse).n; n != 100 {
+		t.Fatalf("recorded %d op responses, want 100", n)
 	}
 	if inst.Metric(res) <= 0 {
 		t.Fatal("no metric")
@@ -216,9 +215,8 @@ func TestMicroserviceCompletesAllRequests(t *testing.T) {
 	if res.TimedOut {
 		t.Fatal("microservice run timed out")
 	}
-	mi := inst.(*msInstance)
-	if len(mi.responses) != w.Requests {
-		t.Fatalf("completed %d responses, want %d", len(mi.responses), w.Requests)
+	if n := inst.(*meanResponse).n; n != w.Requests {
+		t.Fatalf("completed %d responses, want %d", n, w.Requests)
 	}
 	if inst.Metric(res) <= 0 {
 		t.Fatal("metric must be positive")
