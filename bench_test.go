@@ -2,17 +2,12 @@ package pinning
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/cpumanager"
 	"repro/internal/experiments"
-	"repro/internal/grubconf"
 	"repro/internal/hypervisor"
 	"repro/internal/irqsim"
-	"repro/internal/kvstore"
 	"repro/internal/machine"
-	"repro/internal/minimpi"
 	"repro/internal/model"
 	"repro/internal/platform"
 	"repro/internal/sched"
@@ -20,7 +15,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/trace"
-	"repro/internal/transcode"
 	"repro/internal/workload"
 )
 
@@ -354,48 +348,6 @@ func BenchmarkIRQCompletionCost(b *testing.B) {
 	}
 }
 
-func BenchmarkMiniMPIAllreduce(b *testing.B) {
-	c, err := minimpi.New(4, time.Minute)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = c
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		err := minimpi.Run(4, time.Minute, func(c *minimpi.Comm, rank int) error {
-			_, err := c.Allreduce(rank, []int64{int64(rank)}, func(a, x int64) int64 { return a + x })
-			return err
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTranscodeKernel(b *testing.B) {
-	job := transcode.Job{Width: 64, Height: 64, Frames: 2, Quality: 28, Workers: 2, Seed: 1}
-	for i := 0; i < b.N; i++ {
-		if _, err := transcode.Run(job); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKVStorePut(b *testing.B) {
-	s, err := kvstore.Open(kvstore.Options{MemtableFlushEntries: 1 << 20, CompactFanIn: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	val := make([]byte, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Put(kvKey(i%4096), val); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkStatsSummarize(b *testing.B) {
 	xs := make([]float64, 1000)
 	for i := range xs {
@@ -404,16 +356,6 @@ func BenchmarkStatsSummarize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = stats.Summarize(xs)
 	}
-}
-
-func kvKey(i int) string {
-	const digits = "0123456789"
-	buf := []byte("bench-000000")
-	for p := len(buf) - 1; i > 0 && p >= 6; p-- {
-		buf[p] = digits[i%10]
-		i /= 10
-	}
-	return string(buf)
 }
 
 // ---- extension-package micro-benchmarks --------------------------------
@@ -445,40 +387,6 @@ func BenchmarkTraceCollector(b *testing.B) {
 		m.Run(0)
 		if col.Events() == 0 {
 			b.Fatal("no events")
-		}
-	}
-}
-
-// BenchmarkCPUManagerChurn measures an allocate/release cycle of the static
-// policy on the paper host.
-func BenchmarkCPUManagerChurn(b *testing.B) {
-	topo := topology.PaperHost()
-	mgr, err := cpumanager.New(topo, topology.NewCPUSet(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := mgr.Allocate(cpumanager.Request{Name: "x", CPUs: 16, NearCPU: 2}); err != nil {
-			b.Fatal(err)
-		}
-		if err := mgr.Release("x"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGrubRoundTrip measures cmdline render + parse.
-func BenchmarkGrubRoundTrip(b *testing.B) {
-	topo := topology.PaperHost()
-	cfg, err := grubconf.IsolateFor(topo, topo.PinPlan(16, 2))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := grubconf.Parse(cfg.CmdLine()); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -3,8 +3,8 @@
 // Package affinity provides the real pinning mechanics the paper's operators
 // use: sched_setaffinity / sched_getaffinity via raw syscalls (what taskset
 // does), goroutine-to-CPU pinning, and host topology discovery from sysfs.
-// It is the operational counterpart of the simulator: cmd/pinctl and
-// cmd/pinbench use it to pin actual processes on the current machine.
+// It is the operational counterpart of the simulator: a library for pinning
+// actual processes on the current machine.
 package affinity
 
 import (
@@ -69,8 +69,8 @@ func Get(pid int) (topology.CPUSet, error) {
 }
 
 // PinnedRun locks the calling goroutine to an OS thread, pins that thread to
-// the CPU set, runs fn, and restores the previous affinity. This is how the
-// real benchmarks (cmd/pinbench) execute "pinned" workers.
+// the CPU set, runs fn, and restores the previous affinity: the way to run a
+// "pinned" worker on a real host.
 func PinnedRun(s topology.CPUSet, fn func() error) error {
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()

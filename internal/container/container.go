@@ -56,24 +56,6 @@ func Create(m *machine.Machine, spec Spec) (*Container, error) {
 	return &Container{Spec: spec, Group: g, Host: m.Topo}, nil
 }
 
-// CreatePinnedSet attaches a container pinned to an explicit cpuset — the
-// form a CPU-manager policy (internal/cpumanager) drives: the allocator
-// chooses the CPUs, Docker receives them verbatim via --cpuset-cpus.
-func CreatePinnedSet(m *machine.Machine, name string, set topology.CPUSet) (*Container, error) {
-	if set.IsEmpty() {
-		return nil, fmt.Errorf("container %q: empty cpuset", name)
-	}
-	if !set.IsSubsetOf(m.Topo.AllCPUs()) {
-		return nil, fmt.Errorf("container %q: cpuset %v outside host CPUs", name, set)
-	}
-	g := m.NewGroup(name, 0, set)
-	return &Container{
-		Spec:  Spec{Name: name, Cores: set.Count(), Pinned: true, NearCPU: set.First()},
-		Group: g,
-		Host:  m.Topo,
-	}, nil
-}
-
 // CHR is the paper's Container-to-Host core Ratio (§IV-A): assigned cores
 // over total host cores.
 func (c *Container) CHR() float64 {

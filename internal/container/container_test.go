@@ -63,34 +63,3 @@ func TestCreateValidation(t *testing.T) {
 		t.Fatal("oversize container must fail")
 	}
 }
-
-func TestCreatePinnedSet(t *testing.T) {
-	m := host()
-	set := m.Topo.PinPlan(6, 2)
-	cn, err := CreatePinnedSet(m, "managed", set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cn.Group.CPUs.Equal(set) {
-		t.Fatalf("cpuset %v, want %v", cn.Group.CPUs, set)
-	}
-	if cn.Group.QuotaCores != 0 {
-		t.Fatal("explicit-set container must not carry a quota")
-	}
-	if cn.Spec.Cores != 6 || !cn.Spec.Pinned || cn.Mode() != "pinned" {
-		t.Fatalf("spec: %+v", cn.Spec)
-	}
-	if math.Abs(cn.CHR()-6.0/112.0) > 1e-9 {
-		t.Fatalf("CHR %v", cn.CHR())
-	}
-}
-
-func TestCreatePinnedSetValidation(t *testing.T) {
-	m := host()
-	if _, err := CreatePinnedSet(m, "empty", topology.CPUSet{}); err == nil {
-		t.Fatal("empty cpuset must fail")
-	}
-	if _, err := CreatePinnedSet(m, "oob", topology.NewCPUSet(500)); err == nil {
-		t.Fatal("out-of-range cpuset must fail")
-	}
-}

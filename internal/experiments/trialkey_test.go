@@ -101,8 +101,8 @@ var pinnedFields = map[string]struct {
 	// than an append function; a new field on any of them must be folded
 	// into the matching Fingerprint (and trialKeySchema bumped) or a warm
 	// store would replay results across configs that now differ.
-	"platform.Stack": {platform.Stack{}, "Layers,Tenants"},
-	"platform.Layer": {platform.Layer{}, "Kind,Cores,Pinned,Limit"},
+	"platform.Stack":      {platform.Stack{}, "Layers,Tenants"},
+	"platform.Layer":      {platform.Layer{}, "Kind,Cores,Pinned,Limit"},
 	"platform.TenantSpec": {platform.TenantSpec{}, "Name,Cores,Pinned,NoCgroup"},
 	"topology.Topology": {topology.Topology{},
 		"Name,Sockets,CoresPerSocket,ThreadsPerCore,LLCMB,ClockGHz,idx"},

@@ -1,8 +1,8 @@
 // Package kvmconf generates and parses the libvirt domain-XML fragments that
 // pin VMs (paper §II-D: "the virtualized platforms offer built-in pinning
 // ability, e.g. via the Qemu configuration file for each VM"): the <vcpu>
-// element and the <cputune> block of <vcpupin> entries that cmd/pinctl emits
-// for operators.
+// element and the <cputune> block of <vcpupin> entries an operator puts in a
+// domain definition.
 package kvmconf
 
 import (

@@ -184,16 +184,16 @@ type Disk[V any] struct {
 	backoff    time.Duration
 	sleep      func(time.Duration)
 
-	mu          sync.Mutex
-	seg         File // this process's segment; created lazily on first Put
-	nextSeg     int  // next segment number to try for O_EXCL creation
-	sinceSync   int  // appends since the last fsync
-	rng         uint64
+	mu        sync.Mutex
+	seg       File // this process's segment; created lazily on first Put
+	nextSeg   int  // next segment number to try for O_EXCL creation
+	sinceSync int  // appends since the last fsync
+	rng       uint64
 	// Group-commit scratch (PutBatch): the encoded-records buffer and the
 	// filtered key/value views, reused across batches.
-	batchBuf  []byte
-	batchKeys []uint64
-	batchVals []V
+	batchBuf    []byte
+	batchKeys   []uint64
+	batchVals   []V
 	loaded      uint64
 	appended    uint64
 	corrupt     uint64

@@ -60,11 +60,11 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return f, nil
 }
 
-func (osFS) ReadFile(name string) ([]byte, error)        { return os.ReadFile(name) }
-func (osFS) ReadDir(name string) ([]os.DirEntry, error)  { return os.ReadDir(name) }
+func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
+func (osFS) ReadDir(name string) ([]os.DirEntry, error)   { return os.ReadDir(name) }
 func (osFS) MkdirAll(name string, perm os.FileMode) error { return os.MkdirAll(name, perm) }
-func (osFS) Rename(oldpath, newpath string) error        { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error                    { return os.Remove(name) }
+func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error                     { return os.Remove(name) }
 
 // ErrTransient marks an error as retryable: wrapping it (or matching one of
 // the retryable syscall errnos below) tells the store's bounded-backoff

@@ -90,18 +90,18 @@ func TestStealCandidateOrderGolden(t *testing.T) {
 
 	// Socket 0 (cpus 0-7): a deep queue on cpu1, SMT-sibling queue on cpu0's
 	// core, and an affinity-restricted task that cpu0 may not take.
-	sr.queue(1, us(50), nil, all)                            // t0
-	sr.queue(1, us(10), nil, all)                            // t1  (earliest on the deep queue)
-	sr.queue(1, us(10), nil, all)                            // t2  (vruntime tie -> seq order)
-	sr.queue(2, us(5), nil, topology.NewCPUSet(2, 3))        // t3  (not allowed on cpu0)
-	sr.queue(3, us(8), gA, all)                              // t4
+	sr.queue(1, us(50), nil, all)                     // t0
+	sr.queue(1, us(10), nil, all)                     // t1  (earliest on the deep queue)
+	sr.queue(1, us(10), nil, all)                     // t2  (vruntime tie -> seq order)
+	sr.queue(2, us(5), nil, topology.NewCPUSet(2, 3)) // t3  (not allowed on cpu0)
+	sr.queue(3, us(8), gA, all)                       // t4
 	// Socket 1 (cpus 8-15): equally deep queue on cpu9 — load ties must
 	// resolve toward the lower victim CPU id (cpu1).
-	sr.queue(9, us(1), nil, all)                             // t5 (globally smallest vruntime)
-	sr.queue(9, us(20), nil, all)                            // t6
-	sr.queue(9, us(30), nil, all)                            // t7
-	sr.queue(12, us(2), gB, all)                             // t8 (group throttles below)
-	sr.queue(12, us(3), gB, all)                             // t9
+	sr.queue(9, us(1), nil, all)  // t5 (globally smallest vruntime)
+	sr.queue(9, us(20), nil, all) // t6
+	sr.queue(9, us(30), nil, all) // t7
+	sr.queue(12, us(2), gB, all)  // t8 (group throttles below)
+	sr.queue(12, us(3), gB, all)  // t9
 
 	// Throttle gB: its queue on cpu12 must become invisible to steal.
 	if !gB.Charge(12, 10*sim.Second) {

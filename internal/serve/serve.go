@@ -38,6 +38,11 @@ import (
 // (this request ran the figure).
 const SourceHeader = "X-Pinserv-Source"
 
+// maxRunBody caps a /run request body. Real specs are about 1 KB; the cap
+// only stops one client from streaming an unbounded inline scenario into
+// memory.
+const maxRunBody = 1 << 20
+
 // errOverloaded is the admission rejection; the handler maps it to 429.
 var errOverloaded = errors.New("serve: simulation capacity saturated")
 
@@ -137,11 +142,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRunBody))
 	dec.DisallowUnknownFields()
 	var req RunRequest
 	if err := dec.Decode(&req); err != nil {
-		http.Error(w, "serve: request JSON: "+err.Error(), http.StatusBadRequest)
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "serve: request JSON: "+err.Error(), code)
 		return
 	}
 	if err := req.validate(); err != nil {

@@ -223,6 +223,10 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: %d, want 400 (%s)", tc.name, w.Code, w.Body.String())
 		}
 	}
+	oversize := `{"name":"fig3"` + strings.Repeat(" ", maxRunBody) + `}`
+	if w := post(t, s, oversize); w.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize body: %d, want 413 (%.200s)", w.Code, w.Body.String())
+	}
 	if s.simulated.Load() != 0 {
 		t.Fatalf("bad requests triggered %d simulations", s.simulated.Load())
 	}

@@ -312,19 +312,3 @@ func MustParseList(list string) CPUSet {
 	}
 	return s
 }
-
-// TakeLowest returns a subset holding the n lowest-numbered CPUs of s (all of
-// s if n >= Count).
-func (s CPUSet) TakeLowest(n int) CPUSet {
-	var r CPUSet
-	taken := 0
-	s.ForEach(func(c int) bool {
-		if taken >= n {
-			return false
-		}
-		r.Add(c)
-		taken++
-		return true
-	})
-	return r
-}

@@ -204,16 +204,6 @@ func TestCPUSetCountProperty(t *testing.T) {
 	}
 }
 
-func TestTakeLowest(t *testing.T) {
-	s := Range(10, 19)
-	if got := s.TakeLowest(3); !got.Equal(NewCPUSet(10, 11, 12)) {
-		t.Fatalf("TakeLowest = %v", got)
-	}
-	if got := s.TakeLowest(100); !got.Equal(s) {
-		t.Fatal("TakeLowest beyond size must return all")
-	}
-}
-
 func TestPaperHostLayout(t *testing.T) {
 	h := PaperHost()
 	if h.NumCPUs() != 112 || h.NumPhysicalCores() != 56 {

@@ -153,7 +153,7 @@ func TestBlockKindTableCoversEnum(t *testing.T) {
 	if sched.BlockKind(nBlockKinds).String() != "unknown" {
 		t.Fatalf("BlockKind %d is defined but outside the off-CPU table — grow nBlockKinds", nBlockKinds)
 	}
-	if sched.BlockKind(nBlockKinds - 1).String() == "unknown" {
+	if sched.BlockKind(nBlockKinds-1).String() == "unknown" {
 		t.Fatalf("off-CPU table has %d slots but the last one is undefined", nBlockKinds)
 	}
 }

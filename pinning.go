@@ -2,7 +2,7 @@
 // Improving the Performance of Virtualization and Containerization
 // Platforms" (GhatrehSamani, Denninnart, Bacik, Amini Salehi — ICPP 2020).
 //
-// It bundles three things:
+// It bundles two things:
 //
 //   - a discrete-event model of the paper's testbed — CFS scheduling,
 //     cgroup quota/cpuset provisioning, IRQ/IO affinity, a KVM-style
@@ -11,20 +11,14 @@
 //
 //   - the paper's actionable findings as a library: application
 //     classification, PTO/PSO overhead decomposition, CHR bands and the
-//     best-practice Advisor;
-//
-//   - the real operational mechanics of pinning on Linux: sched_setaffinity
-//     wrappers, a Docker Engine API client for --cpus / --cpuset-cpus, and
-//     libvirt <cputune> generation (see cmd/pinctl and cmd/pinbench).
+//     best-practice Advisor.
 //
 // This facade re-exports the stable surface of the internal packages.
 package pinning
 
 import (
 	"repro/internal/core"
-	"repro/internal/cpumanager"
 	"repro/internal/experiments"
-	"repro/internal/grubconf"
 	"repro/internal/hypotheses"
 	"repro/internal/model"
 	"repro/internal/platform"
@@ -160,15 +154,6 @@ type (
 	ModelConstraints = model.Constraints
 	// ModelChoice is one ranked candidate from the model's Recommend.
 	ModelChoice = model.Choice
-
-	// CPUManager hands out exclusive topology-aligned cpusets
-	// (Kubernetes-style static policy with IO-affinity placement).
-	CPUManager = cpumanager.Manager
-	// CPURequest asks the CPUManager for an exclusive cpuset.
-	CPURequest = cpumanager.Request
-
-	// GrubConfig is a bare-metal CPU provisioning plan (kernel cmdline).
-	GrubConfig = grubconf.Config
 
 	// TraceCollector gathers the BCC-analog instruments (cpudist,
 	// offcputime, runqlat) from a simulated run.
@@ -350,24 +335,6 @@ func FitSamples(samples []OverheadSample) (*OverheadModel, error) { return model
 // Isolation returns a platform's isolation level (§VI: overhead grows with
 // it for CPU-bound work).
 func Isolation(k PlatformKind) IsolationLevel { return model.Isolation(k) }
-
-// NewCPUManager returns a static-policy CPU manager for a host; reserved
-// CPUs are never handed out.
-func NewCPUManager(host *Topology, reserved CPUSet) (*CPUManager, error) {
-	return cpumanager.New(host, reserved)
-}
-
-// GrubForInstance returns the §III-A bare-metal provisioning (maxcpus=) for
-// an instance size.
-func GrubForInstance(host *Topology, cores int) (GrubConfig, error) {
-	return grubconf.ForInstance(host, cores)
-}
-
-// GrubIsolate returns the isolcpus/nohz_full/rcu_nocbs recipe for an
-// exclusively-owned cpuset.
-func GrubIsolate(host *Topology, set CPUSet) (GrubConfig, error) {
-	return grubconf.IsolateFor(host, set)
-}
 
 // RunProfile runs one deployment with the BCC-analog instruments attached
 // (the paper's §III-A methodology) and returns the collector.

@@ -82,32 +82,6 @@ func TestFacadeRunSweep(t *testing.T) {
 	}
 }
 
-func TestFacadeCPUManager(t *testing.T) {
-	mgr, err := NewCPUManager(PaperHost(), CPUSet{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := mgr.Allocate(CPURequest{Name: "db", CPUs: 8, NearCPU: 2})
-	if err != nil || set.Count() != 8 {
-		t.Fatalf("allocate: %v %v", set, err)
-	}
-	if err := mgr.Release("db"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFacadeGrub(t *testing.T) {
-	host := PaperHost()
-	c, err := GrubForInstance(host, 16)
-	if err != nil || c.CmdLine() != "maxcpus=16" {
-		t.Fatalf("grub instance: %v %v", c.CmdLine(), err)
-	}
-	iso, err := GrubIsolate(host, host.PinPlan(8, 0))
-	if err != nil || iso.Isolated.Count() != 8 {
-		t.Fatalf("grub isolate: %v %v", iso, err)
-	}
-}
-
 func TestFacadeOverheadModel(t *testing.T) {
 	var samples []OverheadSample
 	for _, chr := range []float64{0.05, 0.1, 0.2, 0.4} {
