@@ -102,8 +102,28 @@ func main() {
 		fatalf("%v", err)
 	}
 	fmt.Fprintf(os.Stderr, "pinservd: serving on %s\n", *listen)
-	if err := (&http.Server{Handler: srv}).Serve(ln); err != nil {
+	if err := newHTTPServer(srv).Serve(ln); err != nil {
 		fatalf("%v", err)
+	}
+}
+
+// Connection timeouts of the daemon's HTTP server. Reads are bounded
+// because /run bodies are capped at 1 MiB; there is no write timeout, as a
+// cold paper-scale /run can legitimately simulate for longer than any
+// fixed bound before the response is written.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer returns the daemon's HTTP server for h.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

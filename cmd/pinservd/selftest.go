@@ -37,7 +37,7 @@ func runSelftest(srv *serve.Server, conns int, dur time.Duration, herd int, minR
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 	go hs.Serve(ln)
 	defer hs.Close()
 

@@ -35,15 +35,11 @@ func (s *Scheduler) cachedAffinity(t *Task) (*topology.CPUSet, []int) {
 	return &t.aff.set, t.aff.slice
 }
 
-// loadOf approximates runqueue load: the running task plus waiting runnables.
+// loadOf returns a CPU's runqueue load — the running task plus the queued
+// tasks that may run now — from the synced load index in O(1).
 func (s *Scheduler) loadOf(cpu int) int {
-	c := s.cpus[cpu]
-	n := 0
-	if c.current != nil {
-		n++
-	}
-	n += s.runnableCount(c)
-	return n
+	s.syncLoad()
+	return int(s.load[cpu])
 }
 
 func (s *Scheduler) siblingIdle(cpu int) bool {
@@ -104,10 +100,11 @@ func (s *Scheduler) placeTask(t *Task) int {
 			break
 		}
 	}
-	best, bestLoad := slice[start], 1<<30
+	s.syncLoad()
+	best, bestLoad := slice[start], int32(1<<30)
 	for i := 0; i < len(slice); i++ {
 		c := slice[(start+i)%len(slice)]
-		if l := s.loadOf(c); l < bestLoad {
+		if l := s.load[c]; l < bestLoad {
 			best, bestLoad = c, l
 		}
 	}

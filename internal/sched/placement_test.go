@@ -7,8 +7,26 @@ import (
 	"repro/internal/topology"
 )
 
+// loadRef is the first-principles load of a CPU, read without the load
+// index: the running task plus the queued tasks of every partition whose
+// group is live-unthrottled right now.
+func loadRef(s *Scheduler, cpu int) int {
+	c := s.cpus[cpu]
+	n := 0
+	if c.current != nil {
+		n++
+	}
+	for i := range c.subs {
+		sq := &c.subs[i]
+		if sq.g == nil || !sq.g.Throttled() {
+			n += len(sq.h)
+		}
+	}
+	return n
+}
+
 // leastLoadedFullScan is the reference for leastLoadedCPU: the minimum
-// load over every allowed CPU except `except`, ties to the lowest id.
+// loadRef over every allowed CPU except `except`, ties to the lowest id.
 func leastLoadedFullScan(s *Scheduler, t *Task, except *cpuRun) *cpuRun {
 	_, slice := s.cachedAffinity(t)
 	var best *cpuRun
@@ -17,7 +35,7 @@ func leastLoadedFullScan(s *Scheduler, t *Task, except *cpuRun) *cpuRun {
 		if except != nil && id == except.id {
 			continue
 		}
-		if l := s.loadOf(id); l < bestLoad {
+		if l := loadRef(s, id); l < bestLoad {
 			best, bestLoad = s.cpus[id], l
 		}
 	}
@@ -26,9 +44,14 @@ func leastLoadedFullScan(s *Scheduler, t *Task, except *cpuRun) *cpuRun {
 
 // TestLeastLoadedMatchesFullScan compares leastLoadedCPU with the full scan
 // over random states of a 96-CPU host: busy and idle CPUs, queued tasks of
-// an ungrouped partition, a running group and a throttled group (so a CPU's
-// runnable count can be below its queue depth), affinities that straddle
-// the 63/64 mask-word seam, and `except` both nil and set.
+// an ungrouped partition, a never-throttled group and a quota group (so a
+// CPU's runnable count can be below its queue depth), affinities that
+// straddle the 63/64 mask-word seam, and `except` both nil and set. Each
+// state is probed three times — quota group unthrottled, then throttled by
+// Charge, then unthrottled again by its period refresh with no scheduler
+// callback — so the load index must resync a view that went stale after
+// the tasks were queued; leastLoadedCPU is the first reader after each
+// flip. Every probe then checks loadOf against loadRef on every CPU.
 func TestLeastLoadedMatchesFullScan(t *testing.T) {
 	topo, err := topology.New("seam", 2, 24, 2)
 	if err != nil {
@@ -36,7 +59,7 @@ func TestLeastLoadedMatchesFullScan(t *testing.T) {
 	}
 	n := topo.NumCPUs()
 	rng := sim.NewRNG(11)
-	var minLoads [3]int // trials whose true minimum load was 0, 1, 2+
+	var minLoads [3]int // picks whose true minimum load was 0, 1, 2+
 	for trial := 0; trial < 400; trial++ {
 		sr := &stealRig{r: newRig(topo, nil)}
 		s := sr.r.s
@@ -63,9 +86,8 @@ func TestLeastLoadedMatchesFullScan(t *testing.T) {
 				}
 			}
 		}
-		if !gThr.Charge(0, 10*sim.Second) {
-			t.Fatal("group must throttle")
-		}
+		// The period refresh below must unthrottle silently.
+		gThr.SetUnthrottleFn(nil)
 
 		// Affinity: a window around the seam, plus a few CPUs anywhere.
 		var aff topology.CPUSet
@@ -83,19 +105,44 @@ func TestLeastLoadedMatchesFullScan(t *testing.T) {
 		}
 		probe := &Task{Spec: TaskSpec{Name: "probe", Affinity: aff, Program: Sequence()}, lastCPU: -1, rqCPU: -1, rqPos: -1}
 		allowed := aff.Slice()
-		for _, except := range []*cpuRun{nil, s.cpus[allowed[rng.Intn(len(allowed))]]} {
-			want := leastLoadedFullScan(s, probe, except)
-			got := s.leastLoadedCPU(probe, except)
-			if got != want {
-				t.Fatalf("trial %d (except %v, affinity %v): leastLoadedCPU picked cpu %d, full scan cpu %d",
-					trial, except != nil, aff, got.id, want.id)
+		except := s.cpus[allowed[rng.Intn(len(allowed))]]
+		check := func(phase string) {
+			for _, except := range []*cpuRun{nil, except} {
+				want := leastLoadedFullScan(s, probe, except)
+				got := s.leastLoadedCPU(probe, except)
+				if got != want {
+					t.Fatalf("trial %d %s (except %v, affinity %v): leastLoadedCPU picked cpu %d, full scan cpu %d",
+						trial, phase, except != nil, aff, got.id, want.id)
+				}
+				l := loadRef(s, want.id)
+				if l > 2 {
+					l = 2
+				}
+				minLoads[l]++
 			}
-			l := s.loadOf(want.id)
-			if l > 2 {
-				l = 2
+			for id := 0; id < n; id++ {
+				if got, want := s.loadOf(id), loadRef(s, id); got != want {
+					t.Fatalf("trial %d %s: loadOf(%d) = %d, reference %d", trial, phase, id, got, want)
+				}
 			}
-			minLoads[l]++
 		}
+		check("unthrottled")
+		if !gThr.Charge(0, gThr.Quota()) {
+			t.Fatal("group must throttle")
+		}
+		check("throttled")
+		// The only pending event is the group's period refresh, which
+		// clears the one-period debt and unthrottles.
+		if !sr.r.eng.Step() || gThr.Throttled() {
+			t.Fatal("period refresh must unthrottle the group")
+		}
+		// Drain every eighth CPU before any reader syncs, so tasks leave a
+		// partition the index still counts as throttled.
+		for id := 0; id < n; id += 8 {
+			for s.pickLocal(s.cpus[id]) != nil {
+			}
+		}
+		check("refreshed")
 	}
 	// The early exit only runs when no allowed CPU is at load 0.
 	for l, c := range minLoads {

@@ -16,9 +16,16 @@ import (
 //     (earliest-appended wins) exactly — required for byte-identical runs.
 //   - One subqueue per cgroup (index 0 = ungrouped). Throttling is a
 //     per-group property that flips outside the scheduler's control (the
-//     bandwidth period timer), so partitioning by group turns "skip
-//     throttled tasks" into "skip throttled subqueues" without any
-//     notification protocol: picks are O(groups · log n), counts O(groups).
+//     bandwidth period timer can unthrottle a group without calling back),
+//     so partitioning by group turns "skip throttled tasks" into "skip
+//     throttled subqueues": picks are O(groups · log n).
+//   - Load counts are O(1) through a lazily synced per-CPU index
+//     (Scheduler.load): push, unlink, dispatch and slice end adjust it by
+//     one under the throttle view in qThr, and syncLoad — called by every
+//     reader — compares that view with each group's live Throttled() and
+//     moves a flipped group's queued tasks into or out of each CPU's load.
+//     That costs O(groups) per read and O(CPUs) per flip, and needs no
+//     notification hook in cgroups.
 //   - Each subqueue's heap root is its cached min-vruntime; the queue-wide
 //     minimum is the best root.
 //   - Tasks carry their heap position (rqPos), so steal can unlink an
@@ -154,6 +161,9 @@ func (s *Scheduler) rqPush(c *cpuRun, t *Task) {
 		sq.h = s.carveHeap()
 	}
 	sq.push(t)
+	if !s.qThr[qi] {
+		s.load[c.id]++
+	}
 	if c.queued == 0 {
 		s.queuedMask[c.id>>6] |= 1 << uint(c.id&63)
 	}
@@ -166,6 +176,9 @@ func (s *Scheduler) rqPush(c *cpuRun, t *Task) {
 // rqUnlinked retires the queued-load accounting of a task just removed from
 // c's runqueue (pickLocal or steal).
 func (s *Scheduler) rqUnlinked(c *cpuRun, t *Task) {
+	if !s.qThr[t.qIdx] {
+		s.load[c.id]--
+	}
 	c.queued--
 	if c.queued == 0 {
 		s.queuedMask[c.id>>6] &^= 1 << uint(c.id&63)
@@ -330,11 +343,45 @@ func (s *Scheduler) stealScan(c *cpuRun) *Task {
 	return cand
 }
 
-// markBusy clears a CPU's idle-mask bit at dispatch.
-func (s *Scheduler) markBusy(cpu int) { s.idleMask[cpu>>6] &^= 1 << uint(cpu&63) }
+// markBusy clears a CPU's idle-mask bit and counts the running task in its
+// load at dispatch.
+func (s *Scheduler) markBusy(cpu int) {
+	s.idleMask[cpu>>6] &^= 1 << uint(cpu&63)
+	s.load[cpu]++
+}
 
-// markIdle sets a CPU's idle-mask bit when its slice retires.
-func (s *Scheduler) markIdle(cpu int) { s.idleMask[cpu>>6] |= 1 << uint(cpu&63) }
+// markIdle sets a CPU's idle-mask bit and drops the running task from its
+// load when its slice retires.
+func (s *Scheduler) markIdle(cpu int) {
+	s.idleMask[cpu>>6] |= 1 << uint(cpu&63)
+	s.load[cpu]--
+}
+
+// syncLoad brings the load index up to date with the groups' live throttle
+// states. A group whose state flipped since the last sync moves its queued
+// tasks into (unthrottle) or out of (throttle) each CPU's load; a group
+// with nothing queued anywhere only updates its view.
+func (s *Scheduler) syncLoad() {
+	for qi := 1; qi < len(s.qGroups); qi++ {
+		thr := s.qGroups[qi].Throttled()
+		if thr == s.qThr[qi] {
+			continue
+		}
+		s.qThr[qi] = thr
+		if s.groupQueued[qi] == 0 {
+			continue
+		}
+		d := int32(1)
+		if thr {
+			d = -1
+		}
+		for _, c := range s.cpus {
+			if qi < len(c.subs) {
+				s.load[c.id] += d * int32(len(c.subs[qi].h))
+			}
+		}
+	}
+}
 
 // forEachIdle visits currently idle CPUs in ascending id order. The mask is
 // re-read per word, so a visit that dispatches work onto its own CPU does
@@ -373,34 +420,13 @@ func (s *Scheduler) minVruntime(c *cpuRun) sim.Time {
 	return mv
 }
 
-// hasRunnable reports whether any queued task of c may run right now.
-func (s *Scheduler) hasRunnable(c *cpuRun) bool {
-	if len(c.subs) <= 1 {
-		// Only the ungrouped partition exists, which never throttles.
-		return c.queued > 0
-	}
-	for i := range c.subs {
-		sq := &c.subs[i]
-		if len(sq.h) > 0 && !sq.throttledQ() {
-			return true
-		}
-	}
-	return false
-}
-
-// runnableCount returns how many queued tasks of c may run right now.
+// runnableCount returns how many queued tasks of c may run right now: its
+// synced load minus the running task.
 func (s *Scheduler) runnableCount(c *cpuRun) int {
-	if len(c.subs) <= 1 {
-		// Only the ungrouped partition exists, which never throttles.
-		return int(c.queued)
-	}
-	n := 0
-	for i := range c.subs {
-		sq := &c.subs[i]
-		if len(sq.h) == 0 || sq.throttledQ() {
-			continue
-		}
-		n += len(sq.h)
+	s.syncLoad()
+	n := int(s.load[c.id])
+	if c.current != nil {
+		n--
 	}
 	return n
 }

@@ -133,6 +133,14 @@ type Scheduler struct {
 	totalQueued  int32            // sum of groupQueued: steal's one-compare miss bail-out
 	qGroups      []*cgroups.Group // subqueue index -> group (nil at 0)
 
+	// load is the per-CPU load index the placement and rebalance scans
+	// read in O(1): the running task plus the queued tasks of every
+	// partition whose group was unthrottled as of the last syncLoad.
+	// qThr[qi] is the throttle state load currently reflects for subqueue
+	// index qi (qThr[0], the ungrouped partition, stays false).
+	load []int32
+	qThr []bool
+
 	// affIntern dedups effective-affinity sets: tasks overwhelmingly share
 	// a handful of masks (all CPUs, the group cpuset), so their Slice
 	// expansions are computed once per distinct set instead of per task.
@@ -162,16 +170,18 @@ type Scheduler struct {
 	// SpecScratch for callers assembling a SpawnBatch argument.
 	specScratch []TaskSpec
 
-	// Embedded backings for the index slices above: hosts up to 1024 CPUs /
-	// 8 sockets / 7 cgroups construct without allocating them separately.
-	// Larger shapes (none exist today — topology caps at 1024 CPUs) fall
-	// back to make, and the group slices fall back through plain append
-	// growth past their embedded capacity.
+	// Embedded backings for the index slices above: hosts up to 1024 CPUs
+	// (128 for the load index) / 8 sockets / 7 cgroups construct without
+	// allocating them separately. Larger shapes fall back to make, and the
+	// group slices fall back through plain append growth past their
+	// embedded capacity.
 	masksBack        [32]uint64 // idleMask + queuedMask, 16 words each
 	socketQueuedBack [8]int32
 	groupQueuedBack  [8]int32
 	qGroupsBack      [8]*cgroups.Group
 	qMembersBack     [8][]*Task
+	qThrBack         [8]bool
+	loadBack         [128]int32 // load for hosts up to 128 CPUs
 }
 
 // New returns a scheduler over eng with the given config.
@@ -223,9 +233,15 @@ func New(eng *sim.Engine, cfg Config) *Scheduler {
 	} else {
 		s.socketQueued = make([]int32, sockets)
 	}
+	if n <= len(s.loadBack) {
+		s.load = s.loadBack[:n]
+	} else {
+		s.load = make([]int32, n)
+	}
 	s.groupQueued = s.groupQueuedBack[:1]
 	s.qGroups = s.qGroupsBack[:1]
 	s.qMembers = s.qMembersBack[:1]
+	s.qThr = s.qThrBack[:1]
 	if cfg.WanderStallRate > 0 && cfg.WanderStallCost > 0 {
 		s.scheduleWander()
 	}
@@ -325,6 +341,8 @@ func (s *Scheduler) Reset(cfg Config) {
 	s.totalQueued = 0
 	s.qGroups = s.qGroups[:1]
 	s.qMembers = s.qMembers[:1]
+	s.qThr = s.qThr[:1]
+	clear(s.load)
 	if cfg.WanderStallRate > 0 && cfg.WanderStallCost > 0 {
 		s.scheduleWander()
 	}
@@ -537,6 +555,7 @@ func (s *Scheduler) registerGroup(g *cgroups.Group) int32 {
 	qi := int32(len(s.qGroups))
 	s.groupQueued = append(s.groupQueued, 0)
 	s.qGroups = append(s.qGroups, g)
+	s.qThr = append(s.qThr, false) // nothing queued yet: any view is exact
 	// Re-registration after a Reset reclaims the truncated member list's
 	// backing instead of appending nil over it.
 	if n := len(s.qMembers); n < cap(s.qMembers) {
@@ -562,7 +581,7 @@ func (s *Scheduler) registerGroup(g *cgroups.Group) int32 {
 		// walks straight to them in ascending id order, exactly like the
 		// full scan it replaces.
 		s.forEachIdle(func(c *cpuRun) {
-			if s.hasRunnable(c) {
+			if s.runnableCount(c) > 0 {
 				s.dispatch(c)
 			}
 		})
@@ -750,6 +769,15 @@ func (s *Scheduler) makeRunnable(t *Task, homeCPU int) {
 		c = s.cpus[s.placeTask(t)]
 		s.bd.Wakeups++
 	}
+	// Direct dispatch onto an idle CPU with an empty queue: enqueueing
+	// would hand t straight back through dispatch and pickLocal. The empty
+	// queue's min vruntime is 0, so the clamp below is a no-op, and skipping
+	// the rqSeq stamp keeps the relative order of every queued task. A
+	// throttled group's task must queue instead (dispatch then steals).
+	if c.current == nil && c.queued == 0 && (t.Spec.Group == nil || !t.Spec.Group.Throttled()) {
+		s.startSlice(c, t)
+		return
+	}
 	// Newcomers and wakers join at the queue's current virtual time: no
 	// credit for time spent blocked, no starvation of incumbents.
 	if mv := s.minVruntime(c); t.vruntime < mv {
@@ -811,7 +839,7 @@ func (s *Scheduler) deliver(from *Task, to *Task, bytes int64, senderCPU int) {
 
 // ---- dispatching ------------------------------------------------------
 //
-// pickLocal, steal, hasRunnable, runnableCount and minVruntime live in
+// pickLocal, steal, runnableCount and minVruntime live in
 // runqueue.go, on the indexed per-group runqueues.
 
 func (s *Scheduler) smtScale(c *cpuRun) float64 {
@@ -1086,14 +1114,16 @@ func (s *Scheduler) endSlice(c *cpuRun, workScaled sim.Time, full bool) {
 }
 
 // leastLoadedCPU returns the allowed CPU with the smallest load, excluding
-// `except`; ties resolve to the lowest CPU id.
+// `except`; ties resolve to the lowest CPU id. Loads come from the synced
+// index, so each candidate costs one array read.
 func (s *Scheduler) leastLoadedCPU(t *Task, except *cpuRun) *cpuRun {
 	set, slice := s.cachedAffinity(t)
+	s.syncLoad()
 	// Fast path: load 0 (idle, nothing runnable queued) is the global
-	// minimum, and the full scan returns the first minimum in ascending
-	// order — so the first idle allowed CPU with an empty runnable count
-	// wins outright. Word-masked, so rebalancing on a mostly-idle big host
-	// costs O(mask words) instead of a load read per allowed CPU.
+	// minimum, and the pick is the first minimum in ascending order — so
+	// the first idle allowed CPU at load 0 wins outright. Word-masked, so
+	// rebalancing on a mostly-idle big host costs O(mask words) instead of
+	// a load read per allowed CPU.
 	words := set.Words()
 	if words > len(s.idleMask) {
 		words = len(s.idleMask)
@@ -1103,26 +1133,25 @@ func (s *Scheduler) leastLoadedCPU(t *Task, except *cpuRun) *cpuRun {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
-			c := s.cpus[w<<6|b]
-			if except != nil && c.id == except.id {
+			id := w<<6 | b
+			if except != nil && id == except.id {
 				continue
 			}
-			if s.runnableCount(c) == 0 {
-				return c
+			if s.load[id] == 0 {
+				return s.cpus[id]
 			}
 		}
 	}
 	// No load-0 CPU available: scan for the true minimum. idleMask mirrors
 	// current == nil, so every allowed CPU now has load >= 1 and the first
-	// load-1 CPU in ascending order is the minimum the full scan would
-	// return.
+	// load-1 CPU in ascending order is the minimum.
 	var best *cpuRun
-	bestLoad := 1 << 30
+	bestLoad := int32(1 << 30)
 	for _, id := range slice {
 		if except != nil && id == except.id {
 			continue
 		}
-		if l := s.loadOf(id); l < bestLoad {
+		if l := s.load[id]; l < bestLoad {
 			best, bestLoad = s.cpus[id], l
 			if l <= 1 {
 				break
