@@ -200,13 +200,13 @@ func BenchmarkCHRSweep(b *testing.B) {
 	}
 }
 
-// ---- ablation benchmarks (DESIGN.md §7) --------------------------------
+// ---- ablation benchmarks ----------------------------------------------
 
 // ablationFig7Gap measures the Fig 7 host-size effect with an optional
 // mechanism switched off.
-func ablationFig7Gap(b *testing.B, mutate func(*machine.Config)) {
+func ablationFig7Gap(b *testing.B, ablate machine.Ablation) {
 	cfg := benchCfg(1)
-	cfg.MutateHost = mutate
+	cfg.Ablate = ablate
 	f, err := experiments.RunFig7(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -223,7 +223,7 @@ func ablationFig7Gap(b *testing.B, mutate func(*machine.Config)) {
 // NUMA share alone.
 func BenchmarkAblationAcctWalk(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		ablationFig7Gap(b, func(c *machine.Config) { c.CG.AcctPerCPU = 0 })
+		ablationFig7Gap(b, machine.AblateAcctWalk)
 	}
 }
 
@@ -231,9 +231,7 @@ func BenchmarkAblationAcctWalk(b *testing.B) {
 // host-size effect should mostly vanish.
 func BenchmarkAblationNUMA(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		ablationFig7Gap(b, func(c *machine.Config) {
-			c.Cache.NUMAPenaltyPerRemoteSocketFraction = 0
-		})
+		ablationFig7Gap(b, machine.AblateNUMA)
 	}
 }
 
@@ -242,10 +240,7 @@ func BenchmarkAblationNUMA(b *testing.B) {
 func BenchmarkAblationIRQAffinity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg(uint64(i))
-		cfg.MutateHost = func(c *machine.Config) {
-			c.IRQ.SameSocketCost = 0
-			c.IRQ.CrossSocketCost = 0
-		}
+		cfg.Ablate = machine.AblateIRQDistance
 		f, err := experiments.RunFig6(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -279,7 +274,7 @@ func BenchmarkAblationVMFastpath(b *testing.B) {
 func BenchmarkAblationChurnWS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg(uint64(i))
-		cfg.MutateHost = func(c *machine.Config) { c.CG.ChurnScaleOverride = 1 }
+		cfg.Ablate = machine.AblateChurnWorkingSet
 		f, err := experiments.RunFig6(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -294,11 +289,7 @@ func BenchmarkAblationChurnWS(b *testing.B) {
 func BenchmarkAblationWakePlacement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg(uint64(i))
-		cfg.MutateHost = func(c *machine.Config) {
-			c.Cache.SMTSiblingPenalty = 0
-			c.Cache.SameSocketPenalty = 0
-			c.Cache.CrossSocketPenalty = 0
-		}
+		cfg.Ablate = machine.AblateCacheLocality
 		f, err := experiments.RunFig3(cfg)
 		if err != nil {
 			b.Fatal(err)

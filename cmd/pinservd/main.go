@@ -26,12 +26,16 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/experiments"
@@ -101,10 +105,15 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
+	// SIGINT/SIGTERM drain in-flight requests and return from main, so the
+	// deferred finish syncs and closes the trial store.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	fmt.Fprintf(os.Stderr, "pinservd: serving on %s\n", *listen)
-	if err := newHTTPServer(srv).Serve(ln); err != nil {
+	if err := serveUntil(ctx, newHTTPServer(srv), ln); err != nil {
 		fatalf("%v", err)
 	}
+	fmt.Fprintln(os.Stderr, "pinservd: drained")
 }
 
 // Connection timeouts of the daemon's HTTP server. Reads are bounded
@@ -125,6 +134,32 @@ func newHTTPServer(h http.Handler) *http.Server {
 		ReadTimeout:       readTimeout,
 		IdleTimeout:       idleTimeout,
 	}
+}
+
+// drainTimeout bounds how long a shutdown waits for in-flight requests
+// (a cold /run may be mid-simulation) before their connections are closed.
+const drainTimeout = 30 * time.Second
+
+// serveUntil serves hs on ln until ctx is cancelled, then stops accepting
+// connections and waits up to drainTimeout for in-flight requests to
+// finish. A drained shutdown returns nil.
+func serveUntil(ctx context.Context, hs *http.Server, ln net.Listener) error {
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	drain, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := hs.Shutdown(drain); err != nil {
+		return err
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return nil
 }
 
 // prewarm runs the named scenarios through the server's own engine so

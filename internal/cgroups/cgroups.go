@@ -62,7 +62,7 @@ type Params struct {
 	AcctAmplification float64
 }
 
-// DefaultParams returns calibrated defaults (see DESIGN.md §3).
+// DefaultParams returns calibrated defaults.
 func DefaultParams() Params {
 	return Params{
 		Period:               100 * sim.Millisecond,

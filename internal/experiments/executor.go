@@ -4,10 +4,10 @@ package experiments
 // reduces to a grid of independent trials addressed by index; an Executor
 // decides which of those indices run here and on how many goroutines,
 // while result placement stays index-addressed — so the assembled output
-// is bit-identical no matter which executor ran it. Serial is the legacy
-// single-goroutine loop, Pool the atomic-claim worker fan-out, and Shard a
-// deterministic partition of the grid for running one experiment across N
-// machines whose durable stores are merged afterwards.
+// is bit-identical no matter which executor ran it. Pool is the
+// atomic-claim worker fan-out and Shard a deterministic partition of the
+// grid for running one experiment across N machines whose durable stores
+// are merged afterwards.
 
 import (
 	"fmt"
@@ -33,25 +33,6 @@ type Executor interface {
 	// number of trials this executor will run, and implementations
 	// serialize the calls.
 	Execute(n int, run func(tc *TrialContext, i int) error, progress func(done, total int)) error
-}
-
-// Serial runs every trial in index order on the calling goroutine — the
-// legacy path, kept for A/B comparison and for callers whose MutateHost
-// hooks are not concurrency-safe.
-type Serial struct{}
-
-// Execute implements Executor.
-func (Serial) Execute(n int, run func(tc *TrialContext, i int) error, progress func(done, total int)) error {
-	tc := new(TrialContext)
-	for i := 0; i < n; i++ {
-		if err := run(tc, i); err != nil {
-			return err
-		}
-		if progress != nil {
-			progress(i+1, n)
-		}
-	}
-	return nil
 }
 
 // TrialPanic records one trial whose run panicked twice (the initial run
@@ -87,11 +68,10 @@ func (e *TrialPanicsError) Error() string {
 }
 
 // containTrial runs one trial with panic containment: a panicking trial is
-// retried once (transient panics — e.g. a MutateHost hook tripping over
-// shared state — heal invisibly), and a second panic is captured as a
-// TrialPanic instead of unwinding the worker. The retry runs with the
-// worker's reuse arena discarded — the panic may have left a half-rewound
-// machine in it.
+// retried once (transient panics heal invisibly), and a second panic is
+// captured as a TrialPanic instead of unwinding the worker. The retry runs
+// with the worker's reuse arena discarded — the panic may have left a
+// half-rewound machine in it.
 func containTrial(run func(tc *TrialContext, i int) error, tc *TrialContext, i int) (err error, pan *TrialPanic) {
 	attempt := func() (err error, pan *TrialPanic) {
 		defer func() {
@@ -111,11 +91,10 @@ func containTrial(run func(tc *TrialContext, i int) error, tc *TrialContext, i i
 
 // Pool fans trials out across a goroutine pool; workers claim indices from
 // a shared atomic counter. Workers 0 means GOMAXPROCS; 1 (or negative)
-// runs the claims on the calling goroutine — still with Pool's panic
-// containment, unlike the bare legacy Serial.
+// runs the claims on the calling goroutine.
 //
-// Unlike Serial, Pool contains trial panics: a panicking trial is retried
-// once, and trials that panic twice are reported together at the end (as a
+// Pool contains trial panics: a panicking trial is retried once, and
+// trials that panic twice are reported together at the end (as a
 // *TrialPanicsError) after every other trial has run — one poisoned
 // configuration costs its own figure cell, not a 100k-trial sweep.
 type Pool struct {
@@ -188,8 +167,8 @@ func (p Pool) Execute(n int, run func(tc *TrialContext, i int) error, progress f
 				// Stop claiming new trials, but keep the lowest-index
 				// error among those already claimed: the failing claim
 				// outranks every index it prevented from running, so
-				// the reported error is as deterministic as in the
-				// serial path.
+				// the reported error is as deterministic as in a
+				// one-goroutine run.
 				failed.Store(true)
 				mu.Lock()
 				if i < errIdx {
@@ -202,7 +181,7 @@ func (p Pool) Execute(n int, run func(tc *TrialContext, i int) error, progress f
 		}
 	}
 	if workers == 1 {
-		// No goroutines at all — the legacy serial shape, but contained.
+		// No goroutines at all.
 		worker()
 	} else {
 		for w := 0; w < workers; w++ {

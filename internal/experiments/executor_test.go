@@ -6,8 +6,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/machine"
 )
 
 // TestShardPartitionCoversEveryIndexOnce: the union of all shards runs
@@ -42,7 +40,7 @@ func TestShardPartitionCoversEveryIndexOnce(t *testing.T) {
 func TestShardProgressTotalIsSubsetSize(t *testing.T) {
 	const n = 10
 	var last, total int
-	err := Shard{Index: 1, Count: 3, Inner: Serial{}}.Execute(n, func(tc *TrialContext, i int) error { return nil },
+	err := Shard{Index: 1, Count: 3, Inner: Pool{Workers: 1}}.Execute(n, func(tc *TrialContext, i int) error { return nil },
 		func(done, tot int) { last, total = done, tot })
 	if err != nil {
 		t.Fatal(err)
@@ -237,47 +235,43 @@ func TestPoolErrorOutranksPanicReport(t *testing.T) {
 	}
 }
 
-// TestSerialStaysRaw: the legacy Serial executor still propagates panics —
-// it is the A/B baseline, not a containment layer.
-func TestSerialStaysRaw(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Serial must not contain trial panics")
+// panicOnce wraps Pool and panics inside the wrapped run exactly once —
+// the first trial any worker starts — before the trial does any work.
+type panicOnce struct {
+	inner   Pool
+	tripped *atomic.Bool
+}
+
+func (p panicOnce) Execute(n int, run func(tc *TrialContext, i int) error, progress func(done, total int)) error {
+	return p.inner.Execute(n, func(tc *TrialContext, i int) error {
+		if p.tripped.CompareAndSwap(false, true) {
+			panic("flaky trial")
 		}
-	}()
-	Serial{}.Execute(3, func(tc *TrialContext, i int) error {
-		if i == 1 {
-			panic("raw")
-		}
-		return nil
-	}, nil)
+		return run(tc, i)
+	}, progress)
 }
 
 // TestFigureSurvivesTransientTrialPanic is the end-to-end containment
-// contract: a hook that panics on exactly one trial (then heals) must not
-// change a figure's rendered bytes.
+// contract: a trial that panics once (then heals) must not change a
+// figure's rendered bytes.
 func TestFigureSurvivesTransientTrialPanic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a quick figure twice")
 	}
-	base := Config{Seed: 42, Quick: true, Workers: 2, MutateHost: func(*machine.Config) {}}
+	base := Config{Seed: 42, Quick: true, Workers: 2}
 	clean, err := RunRegistered("fig3", base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var tripped atomic.Bool
 	faulty := base
-	faulty.MutateHost = func(*machine.Config) {
-		if tripped.CompareAndSwap(false, true) {
-			panic("flaky hook")
-		}
-	}
+	faulty.Executor = panicOnce{inner: Pool{Workers: 2}, tripped: &tripped}
 	survived, err := RunRegistered("fig3", faulty)
 	if err != nil {
 		t.Fatalf("figure run died on a transient trial panic: %v", err)
 	}
 	if !tripped.Load() {
-		t.Fatal("the faulty hook never fired")
+		t.Fatal("the fault never fired")
 	}
 	var a, b strings.Builder
 	clean.RenderText(&a)

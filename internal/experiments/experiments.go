@@ -121,40 +121,28 @@ type Config struct {
 	// bare-metal mean exceeds this multiple of the bare-metal row's median
 	// (the Cassandra Large thrash case, excluded from the paper's chart).
 	OutOfRangeFactor float64
-	// MutateHost, when set, edits the host machine configuration before
-	// each deployment — the hook the ablation benchmarks use to switch off
-	// individual overhead mechanisms (DESIGN.md §7). With Workers != 1 the
-	// hook is called from multiple goroutines and must be concurrency-safe
-	// (a pure function of its argument); it also disables trial memoization,
-	// because an arbitrary function cannot be fingerprinted into a cache
-	// key.
-	MutateHost func(*machine.Config)
-	// NoReuse disables per-worker deployment reuse: every trial builds its
-	// platform stack from scratch instead of rewinding the worker's cached
-	// arena in place. Results are bit-identical either way (the
-	// reuse-equivalence tests pin this); the knob exists for A/B timing and
-	// for debugging a suspected reset bug.
-	NoReuse bool
+	// Ablate switches overhead mechanisms off in every trial's host
+	// configuration (machine.Ablation) — the knob the ablation benchmarks
+	// use. It is part of the trial key, so ablated runs memoize and reuse
+	// deployments like any other run.
+	Ablate machine.Ablation
 	// Workers is the trial fan-out: every figure and sweep is a grid of
 	// independent (series, cell, repetition) trials whose seeds are derived
 	// up front, so trials run on a pool of this many goroutines with
-	// bit-identical output to a serial run. 0 means GOMAXPROCS; 1 keeps the
-	// legacy serial path (no goroutines) for A/B comparison. Ignored when
+	// bit-identical output to a serial run. 0 means GOMAXPROCS; 1 runs
+	// Pool's contained loop on the calling goroutine. Ignored when
 	// Executor is set — wire the worker count into the executor instead
 	// (e.g. Shard{Inner: Pool{Workers: n}}).
 	Workers int
 	// Executor overrides the trial-execution strategy (nil = Pool{Workers}):
-	// Serial, Pool, or Shard for running a deterministic partition of every
+	// Pool, or Shard for running a deterministic partition of every
 	// trial grid on one of N machines (see executor.go).
 	Executor Executor
 	// Memo, when non-nil, stores per-trial results keyed by a versioned
 	// canonical encoding of the trial's full configuration and seed.
 	// Repeated or overlapping runs that share a store skip every
 	// already-simulated trial; a disk-backed store (OpenTrialStore) makes
-	// that incremental across processes and machines. Ignored while
-	// MutateHost is set — setting both logs a one-line warning (once per
-	// process) instead of failing, since a MutateHost ablation run may
-	// legitimately reuse a Config that carries a store.
+	// that incremental across processes and machines.
 	Memo TrialStore
 	// Progress, when non-nil, is called after each completed trial with
 	// (done, total) — the long-sweep progress hook. Calls are serialized by

@@ -73,7 +73,6 @@ type CHRBand struct {
 // the bracketing CHR band.
 func RunCHRSweep(cfg Config) ([]CHRBand, error) {
 	cfg = cfg.withDefaults()
-	warnMemoMutateHost(cfg)
 	reps := cfg.reps(5)
 	type app struct {
 		name      string

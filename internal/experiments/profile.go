@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/irqsim"
-	"repro/internal/machine"
 	"repro/internal/platform"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -91,10 +90,7 @@ func RunProfile(ps ProfileSpec, cfg Config) (*ProfileResult, error) {
 	}
 	col := trace.NewCollector(nil)
 	seed := seedFor(cfg.Seed, 70)
-	hostCfg := machine.HostDefaults(cfg.Host, seed)
-	if cfg.MutateHost != nil {
-		cfg.MutateHost(&hostCfg)
-	}
+	hostCfg := hostConfig(cfg, cfg.Host, seed)
 	hostCfg.Trace = col.Fn()
 	spec := platform.Spec{Kind: kind, Mode: mode, Cores: it.Cores}
 	d, err := platform.Deploy(spec, hostCfg, *cfg.HV, seed)

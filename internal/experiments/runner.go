@@ -12,12 +12,7 @@ package experiments
 // bit-identical no matter how trials were scheduled, sharded or cached.
 
 import (
-	"io"
-	"os"
-	"sync"
-
 	"repro/internal/platform"
-	"repro/internal/resultstore"
 	"repro/internal/sched"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -33,8 +28,8 @@ type TrialResult struct {
 
 // forEachTrial executes run(0..n-1) through the configured executor and
 // reports the first (lowest-index) error. The default is Pool{Workers:
-// cfg.Workers} — the atomic-claim worker fan-out, degrading to the legacy
-// serial loop at Workers 1. cfg.Progress, when set, is observed after
+// cfg.Workers} — the atomic-claim worker fan-out, running on the calling
+// goroutine at Workers 1. cfg.Progress, when set, is observed after
 // every completed trial.
 func forEachTrial(cfg Config, n int, run func(tc *TrialContext, i int) error) error {
 	ex := cfg.Executor
@@ -46,11 +41,9 @@ func forEachTrial(cfg Config, n int, run func(tc *TrialContext, i int) error) er
 
 // runTrial is runStack behind the trial store: on a hit the simulation is
 // skipped entirely and the stored result replayed — from memory within a
-// process, from disk across processes when the store is durable. Trials
-// with a MutateHost hook bypass the store — an arbitrary function cannot
-// be fingerprinted.
+// process, from disk across processes when the store is durable.
 func runTrial(tc *TrialContext, cfg Config, host *topology.Topology, stack platform.Stack, size int, ws []workload.Workload, memGB int, seed uint64) (TrialResult, error) {
-	if cfg.Memo == nil || cfg.MutateHost != nil {
+	if cfg.Memo == nil {
 		v, bd, err := runStack(tc, cfg, host, stack, size, ws, memGB, seed)
 		return TrialResult{Metric: v, Breakdown: bd}, err
 	}
@@ -62,53 +55,4 @@ func runTrial(tc *TrialContext, cfg Config, host *topology.Topology, stack platf
 		}
 		return TrialResult{Metric: v, Breakdown: bd}, nil
 	})
-}
-
-// The MutateHost/Memo notice goes through the same rate-limited warner
-// machinery as the store layer: the first bypassing entry point prints one
-// line, later ones are only counted, and the CLIs surface the count in -v
-// stats (MemoBypassCount).
-const memoBypassCategory = "memo-bypass"
-
-var (
-	memoWarnMu sync.Mutex
-	memoWarner = resultstore.NewWarner(os.Stderr, 1)
-)
-
-// swapMemoWarner replaces the process-wide memo-bypass warner (test seam)
-// and returns the previous one.
-func swapMemoWarner(w *resultstore.Warner) *resultstore.Warner {
-	memoWarnMu.Lock()
-	defer memoWarnMu.Unlock()
-	old := memoWarner
-	memoWarner = w
-	return old
-}
-
-// newMemoWarner builds a warner with the memo-bypass policy (one printed
-// line) over an arbitrary sink.
-func newMemoWarner(w io.Writer) *resultstore.Warner {
-	return resultstore.NewWarner(w, 1)
-}
-
-// MemoBypassCount reports how many experiment entry points ran with
-// Config.Memo ignored because Config.MutateHost was set — the -v
-// statistic backing the single printed warning.
-func MemoBypassCount() uint64 {
-	memoWarnMu.Lock()
-	defer memoWarnMu.Unlock()
-	return memoWarner.Count(memoBypassCategory)
-}
-
-// warnMemoMutateHost surfaces the documented MutateHost/Memo interaction
-// instead of silently ignoring the memo: every experiment entry point calls
-// it before fanning trials out.
-func warnMemoMutateHost(cfg Config) {
-	if cfg.Memo == nil || cfg.MutateHost == nil {
-		return
-	}
-	memoWarnMu.Lock()
-	defer memoWarnMu.Unlock()
-	memoWarner.Warnf(memoBypassCategory,
-		"experiments: warning: Config.MutateHost is set, so Config.Memo is ignored — an arbitrary host mutation cannot be fingerprinted into a cache key")
 }

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/machine"
 )
 
 func TestWorkerCountResolution(t *testing.T) {
@@ -142,23 +144,45 @@ func TestMemoizedFigureMatchesUnmemoized(t *testing.T) {
 	}
 }
 
+// TestAblatedFigureMemoizes: an ablation is data in the trial key, so an
+// ablated figure replays from a warm memo, and an unablated run sharing the
+// memo simulates its own trials instead of replaying the ablated ones.
+func TestAblatedFigureMemoizes(t *testing.T) {
+	memo := NewTrialMemo()
+	cfg := Config{Quick: true, Reps: 1, Seed: 5, Workers: 1, Ablate: machine.AblateNUMA, Memo: memo}
+	first, err := RunFig7(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := memo.Misses()
+	if misses == 0 {
+		t.Fatal("cold memo must miss")
+	}
+	second, err := RunFig7(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if memo.Misses() != misses {
+		t.Fatalf("warm ablated replay simulated %d new trials, want 0", memo.Misses()-misses)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatal("memoized ablated figure must equal the simulated one")
+	}
+	cfg.Ablate = 0
+	if _, err := RunFig7(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := memo.Misses() - misses; got != misses {
+		t.Fatalf("unablated run simulated %d trials, want %d: it replayed ablated results", got, misses)
+	}
+}
+
 // The benchmark pair is the serial-vs-parallel A/B the Workers field
 // exists for; on a multi-core host the parallel variant should approach a
 // GOMAXPROCS-fold speedup (trials are embarrassingly parallel).
 func BenchmarkQuickFig3Serial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := RunFig3(Config{Quick: true, Reps: 2, Seed: 1234, Workers: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkQuickFig3SerialNoReuse is the A/B partner of QuickFig3Serial:
-// the identical grid with per-worker deployment reuse switched off, so the
-// pair isolates what arena rewinding saves.
-func BenchmarkQuickFig3SerialNoReuse(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := RunFig3(Config{Quick: true, Reps: 2, Seed: 1234, Workers: 1, NoReuse: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

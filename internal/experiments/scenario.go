@@ -348,7 +348,6 @@ func (s Scenario) MarshalIndentJSON() ([]byte, error) {
 // worker count, and Config.Memo skips trials an earlier run simulated.
 func RunScenario(cfg Config, sc Scenario) (Figure, error) {
 	cfg = cfg.withDefaults()
-	warnMemoMutateHost(cfg)
 	sc = sc.withDefaults()
 	if err := sc.Validate(); err != nil {
 		return Figure{}, err

@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"bytes"
 	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/machine"
 	"repro/internal/platform"
 )
 
@@ -341,38 +339,5 @@ func TestRegisterScenarioRejectsDuplicatesAndInvalid(t *testing.T) {
 	bad.Cells = nil
 	if err := RegisterScenario(bad); err == nil {
 		t.Fatal("invalid scenario must not register")
-	}
-}
-
-// TestMutateHostMemoWarning locks the documented MutateHost/Memo
-// interaction: setting both prints the warning once (the rate-limited
-// warner suppresses repeats but keeps counting them for -v stats) instead
-// of silently ignoring the memo.
-func TestMutateHostMemoWarning(t *testing.T) {
-	var buf bytes.Buffer
-	old := swapMemoWarner(newMemoWarner(&buf))
-	defer swapMemoWarner(old)
-
-	cfg := Config{Quick: true, Reps: 1, Seed: 3, Workers: 1,
-		Memo:       NewTrialMemo(),
-		MutateHost: func(*machine.Config) {}}
-	if _, err := RunFig8(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunFig8(cfg); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "MutateHost") || !strings.Contains(out, "Memo") {
-		t.Fatalf("expected the MutateHost/Memo warning, got %q", out)
-	}
-	if got := strings.Count(out, "MutateHost is set"); got != 1 {
-		t.Fatalf("warning printed %d times, want once per process: %q", got, out)
-	}
-	if got := MemoBypassCount(); got != 2 {
-		t.Fatalf("MemoBypassCount = %d, want both bypassing runs counted", got)
-	}
-	if cfg.Memo.Len() != 0 {
-		t.Fatal("memo must stay unused while MutateHost is set")
 	}
 }

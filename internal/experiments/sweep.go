@@ -141,7 +141,6 @@ type SweepResult struct {
 // bit-identical for any Config.Workers and any memo state.
 func Sweep(cfg Config, spec SweepSpec) (*SweepResult, error) {
 	cfg = cfg.withDefaults()
-	warnMemoMutateHost(cfg)
 	spec = spec.withDefaults(cfg)
 
 	type cellPlan struct {

@@ -46,17 +46,19 @@ func DeployStats() (built, reused uint64) {
 	return deploysBuilt.Load(), deploysReused.Load()
 }
 
+// hostConfig is the host machine configuration one trial deploys onto:
+// the calibrated defaults with the run's ablations applied.
+func hostConfig(cfg Config, host *topology.Topology, seed uint64) machine.Config {
+	c := machine.HostDefaults(host, seed)
+	cfg.Ablate.Apply(&c)
+	return c
+}
+
 // deploy returns a deployment for the trial, reusing the worker's pooled
-// arena for the machine shape when possible. Reuse is off — every trial
-// builds fresh — when the context is nil, Config.NoReuse is set, or a
-// MutateHost hook is installed (an arbitrary mutation can change the
-// machine shape under the pool's feet).
+// arena for the machine shape when possible. A nil context builds fresh.
 func (tc *TrialContext) deploy(cfg Config, host *topology.Topology, stack platform.Stack, size int, seed uint64) (*platform.Deployment, error) {
-	hostCfg := machine.HostDefaults(host, seed)
-	if cfg.MutateHost != nil {
-		cfg.MutateHost(&hostCfg)
-	}
-	if tc == nil || cfg.NoReuse || cfg.MutateHost != nil {
+	hostCfg := hostConfig(cfg, host, seed)
+	if tc == nil {
 		d, err := platform.DeployStack(stack, size, hostCfg, *cfg.HV, seed)
 		if err == nil {
 			deploysBuilt.Add(1)

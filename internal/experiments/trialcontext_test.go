@@ -6,12 +6,23 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/platform"
 )
 
-// TestReuseEquivalence is the tentpole's correctness contract: every quick
-// figure regenerated with deployment reuse disabled must be cell-for-cell
-// identical to the reusing run — same Summary, same Ratio, same Breakdown.
+// buildFresh runs trials through Pool but hands each one a nil
+// TrialContext, so every trial builds its deployment from scratch — the
+// build-fresh side of the reuse-equivalence tests.
+type buildFresh struct{ workers int }
+
+func (b buildFresh) Execute(n int, run func(tc *TrialContext, i int) error, progress func(done, total int)) error {
+	return Pool{Workers: b.workers}.Execute(n, func(_ *TrialContext, i int) error { return run(nil, i) }, progress)
+}
+
+// TestReuseEquivalence is deployment reuse's correctness contract: every
+// quick figure regenerated with every trial built fresh must be
+// cell-for-cell identical to the reusing run — same Summary, same Ratio,
+// same Breakdown.
 func TestReuseEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates six figures twice")
@@ -21,7 +32,7 @@ func TestReuseEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fig %d reuse on: %v", n, err)
 		}
-		fresh, err := RunFigure(n, Config{Seed: 42, Quick: true, Workers: 2, NoReuse: true})
+		fresh, err := RunFigure(n, Config{Seed: 42, Quick: true, Executor: buildFresh{workers: 2}})
 		if err != nil {
 			t.Fatalf("fig %d reuse off: %v", n, err)
 		}
@@ -32,9 +43,63 @@ func TestReuseEquivalence(t *testing.T) {
 	}
 }
 
+// TestAblationReuseEquivalence: an ablated run reuses deployments like any
+// other, so for every ablation bit the reusing run must equal the
+// build-fresh run at one and two workers — and must differ from the
+// unablated figure, or the ablation never reached the machine.
+func TestAblationReuseEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates a one-rep quick figure four times per ablation")
+	}
+	// Every ablation bit, paired with a quick figure it moves.
+	cases := []struct {
+		ablate machine.Ablation
+		fig    int
+	}{
+		{machine.AblateAcctWalk, 7},
+		{machine.AblateNUMA, 7},
+		{machine.AblateIRQDistance, 6},
+		{machine.AblateChurnWorkingSet, 6},
+		{machine.AblateCacheLocality, 3},
+	}
+	var all machine.Ablation
+	for _, c := range cases {
+		all |= c.ablate
+	}
+	if all != machine.AblateCacheLocality<<1-1 {
+		t.Fatalf("cases cover mask %#x; every ablation bit needs a figure", all)
+	}
+	plain := map[int]Figure{}
+	for _, c := range cases {
+		if _, ok := plain[c.fig]; !ok {
+			f, err := RunFigure(c.fig, Config{Seed: 42, Quick: true, Reps: 1, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain[c.fig] = f
+		}
+		for _, workers := range []int{1, 2} {
+			reused, err := RunFigure(c.fig, Config{Seed: 42, Quick: true, Reps: 1, Workers: workers, Ablate: c.ablate})
+			if err != nil {
+				t.Fatalf("ablation %#x fig %d reuse on: %v", c.ablate, c.fig, err)
+			}
+			fresh, err := RunFigure(c.fig, Config{Seed: 42, Quick: true, Reps: 1, Executor: buildFresh{workers: workers}, Ablate: c.ablate})
+			if err != nil {
+				t.Fatalf("ablation %#x fig %d reuse off: %v", c.ablate, c.fig, err)
+			}
+			if !reflect.DeepEqual(reused, fresh) {
+				t.Fatalf("ablation %#x fig %d workers=%d: reused deployments changed the result", c.ablate, c.fig, workers)
+			}
+			if reflect.DeepEqual(reused, plain[c.fig]) {
+				t.Fatalf("ablation %#x left fig %d unchanged", c.ablate, c.fig)
+			}
+		}
+	}
+}
+
 // TestFigAllQuickNoReuseMatchesGolden pins the build-fresh path to the same
-// committed golden bytes the reusing path must match: the NoReuse knob is an
-// A/B switch, not a second behavior.
+// committed golden bytes the reusing path must match: reuse is an
+// optimization, not a second behavior.
 func TestFigAllQuickNoReuseMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates six figures per worker count")
@@ -46,14 +111,14 @@ func TestFigAllQuickNoReuseMatchesGolden(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		var buf bytes.Buffer
 		for n := 3; n <= 8; n++ {
-			f, err := RunFigure(n, Config{Seed: 42, Quick: true, Workers: workers, NoReuse: true})
+			f, err := RunFigure(n, Config{Seed: 42, Quick: true, Executor: buildFresh{workers: workers}})
 			if err != nil {
 				t.Fatalf("workers=%d figure %d: %v", workers, n, err)
 			}
 			f.RenderText(&buf)
 		}
 		if !bytes.Equal(buf.Bytes(), golden) {
-			t.Fatalf("workers=%d NoReuse diverged from the golden fingerprint\n got sha256 %s\nwant sha256 %s\nfirst divergence at byte %d",
+			t.Fatalf("workers=%d build-fresh run diverged from the golden fingerprint\n got sha256 %s\nwant sha256 %s\nfirst divergence at byte %d",
 				workers, shortHash(buf.Bytes()), shortHash(golden), firstDiff(buf.Bytes(), golden))
 		}
 	}
@@ -78,15 +143,15 @@ func TestDeployStatsCountReuse(t *testing.T) {
 		t.Fatalf("built %d > reused %d: repetitions are not reusing their shape's arena", built, reused)
 	}
 	nr0, _ := DeployStats()
-	if _, err := RunFig3(Config{Seed: 7, Quick: true, Reps: 2, Workers: 1, NoReuse: true}); err != nil {
+	if _, err := RunFig3(Config{Seed: 7, Quick: true, Reps: 2, Executor: buildFresh{workers: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	nrBuilt, nrReused := DeployStats()
 	if nrReused != reused+r0 {
-		t.Fatalf("NoReuse run reused %d deployments, want 0", nrReused-reused-r0)
+		t.Fatalf("build-fresh run reused %d deployments, want 0", nrReused-reused-r0)
 	}
 	if nrBuilt == nr0 {
-		t.Fatal("NoReuse run built nothing")
+		t.Fatal("build-fresh run built nothing")
 	}
 }
 

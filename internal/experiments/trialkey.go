@@ -2,15 +2,16 @@ package experiments
 
 // The durable trial key. A trial's store key fingerprints everything its
 // result depends on — seed, stack, instance size, host topology,
-// hypervisor calibration, time limit, memory and every tenant workload's
-// concrete parameters — as a canonical versioned encoding: explicit field
-// walks in declaration order, fixed-width little-endian values, a schema
-// version byte up front (resultstore.Enc). Reflective %+v formatting would
-// silently change meaning whenever a struct evolved; here evolution is
-// explicit: any change to a walked struct must extend the matching
-// append function AND bump trialKeySchema, at which point old durable
-// records simply stop matching and are recomputed. The pinned-literal and
-// field-coverage tests in trialkey_test.go enforce that discipline.
+// hypervisor calibration, time limit, memory, every tenant workload's
+// concrete parameters and the run's host ablations — as a canonical
+// versioned encoding: explicit field walks in declaration order,
+// fixed-width little-endian values, a schema version byte up front
+// (resultstore.Enc). Reflective %+v formatting would silently change
+// meaning whenever a struct evolved; here evolution is explicit: any
+// change to a walked struct must extend the matching append function AND
+// bump trialKeySchema, at which point old durable records simply stop
+// matching and are recomputed. The pinned-literal and field-coverage
+// tests in trialkey_test.go enforce that discipline.
 
 import (
 	"fmt"
@@ -41,6 +42,15 @@ func trialKey(cfg Config, host *topology.Topology, stack platform.Stack, size in
 	e.Int(len(ws))
 	for _, w := range ws {
 		appendWorkloadKey(&e, w)
+	}
+	// Ablations are appended only when present: every unablated key stays
+	// byte-for-byte what it was before ablations were keyed, so existing
+	// durable stores keep hitting without a trialKeySchema bump. The
+	// encoding stays unambiguous because the workload walk above is
+	// self-delimiting (its count comes first).
+	if cfg.Ablate != 0 {
+		e.Str("ablate")
+		e.U64(uint64(cfg.Ablate))
 	}
 	return e.Sum64()
 }

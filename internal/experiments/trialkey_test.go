@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/hypervisor"
+	"repro/internal/machine"
 	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/topology"
@@ -70,6 +71,18 @@ func TestTrialKeySensitivity(t *testing.T) {
 	}
 	if trialKey(cfg, cfg.Host, stack, 4, []workload.Workload{w, w}, 16, 7) == base {
 		t.Fatal("tenant count change did not move the key")
+	}
+	// Each ablation bit moves the key, and distinct masks never share one.
+	keys := map[uint64]machine.Ablation{base: 0}
+	for _, a := range []machine.Ablation{machine.AblateAcctWalk, machine.AblateNUMA, machine.AblateIRQDistance,
+		machine.AblateChurnWorkingSet, machine.AblateCacheLocality, machine.AblateAcctWalk | machine.AblateNUMA} {
+		ablated := cfg
+		ablated.Ablate = a
+		k := trialKey(ablated, cfg.Host, stack, 4, []workload.Workload{w}, 16, 7)
+		if prev, dup := keys[k]; dup {
+			t.Fatalf("ablation %#x has the same key as ablation %#x", a, prev)
+		}
+		keys[k] = a
 	}
 }
 

@@ -9,8 +9,7 @@
 // Because the paper evaluates each workload in isolation ("there is no other
 // coexisting workload in the system", §III-A), vCPUs always receive full host
 // cores; host-level effects are therefore applied as per-event overlays
-// rather than by nesting two schedulers. DESIGN.md §3 documents this
-// host-idle assumption.
+// rather than by nesting two schedulers (the host-idle assumption).
 package hypervisor
 
 import (

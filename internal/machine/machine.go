@@ -97,6 +97,49 @@ func HostDefaults(topo *topology.Topology, seed uint64) Config {
 	}
 }
 
+// Ablation is a set of overhead mechanisms to switch off in a host
+// configuration, one bit per mechanism. It is plain data, so an ablated run
+// can be fingerprinted, memoized and reused like any other. The zero value
+// ablates nothing. The bit values are part of durable trial keys: add new
+// bits at the end and never renumber existing ones.
+type Ablation uint8
+
+const (
+	// AblateAcctWalk removes the per-host-CPU cgroup accounting walk.
+	AblateAcctWalk Ablation = 1 << iota
+	// AblateNUMA removes the memory-interleave penalty.
+	AblateNUMA
+	// AblateIRQDistance flattens the IRQ same- and cross-socket wake costs.
+	AblateIRQDistance
+	// AblateChurnWorkingSet forces the unthrottle-churn working-set factor
+	// to 1.
+	AblateChurnWorkingSet
+	// AblateCacheLocality zeroes the cache-refill penalties a migration pays.
+	AblateCacheLocality
+)
+
+// Apply switches off every mechanism in a on c.
+func (a Ablation) Apply(c *Config) {
+	if a&AblateAcctWalk != 0 {
+		c.CG.AcctPerCPU = 0
+	}
+	if a&AblateNUMA != 0 {
+		c.Cache.NUMAPenaltyPerRemoteSocketFraction = 0
+	}
+	if a&AblateIRQDistance != 0 {
+		c.IRQ.SameSocketCost = 0
+		c.IRQ.CrossSocketCost = 0
+	}
+	if a&AblateChurnWorkingSet != 0 {
+		c.CG.ChurnScaleOverride = 1
+	}
+	if a&AblateCacheLocality != 0 {
+		c.Cache.SMTSiblingPenalty = 0
+		c.Cache.SameSocketPenalty = 0
+		c.Cache.CrossSocketPenalty = 0
+	}
+}
+
 // Machine is one simulated computer.
 type Machine struct {
 	Cfg   Config

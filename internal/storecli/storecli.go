@@ -88,9 +88,6 @@ func Apply(prog string, cfg *experiments.Config, o Options) (sharded bool, finis
 		}
 		if o.Verbose {
 			fmt.Fprintln(os.Stderr, prog+": "+experiments.StoreStatsLine(st))
-			if n := experiments.MemoBypassCount(); n > 0 {
-				fmt.Fprintf(os.Stderr, "%s: store: %d runs bypassed the memo (MutateHost set)\n", prog, n)
-			}
 		}
 		if err := st.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: store close: %v\n", prog, err)

@@ -109,8 +109,6 @@ type (
 	// TrialExecutor is the pluggable trial-execution strategy behind
 	// ExperimentConfig.Executor.
 	TrialExecutor = experiments.Executor
-	// SerialExecutor runs every trial on the calling goroutine.
-	SerialExecutor = experiments.Serial
 	// PoolExecutor fans trials across an atomic-claim worker pool (the
 	// default, sized by ExperimentConfig.Workers).
 	PoolExecutor = experiments.Pool
