@@ -282,9 +282,9 @@ func (g *Group) ensurePeriod() {
 func (g *Group) schedulePeriodRefresh() {
 	if !g.periodTimer.Bound() {
 		// The static callback is bound once to the embedded timer; every
-		// later period tick reuses a pooled event slot, so steady-state
-		// bandwidth enforcement allocates nothing — not even the Timer or a
-		// method-value closure.
+		// later period tick re-arms that same timer in the event heap, so
+		// steady-state bandwidth enforcement allocates nothing — not even
+		// the Timer or a method-value closure.
 		g.periodTimer.InitArg(g.ctl.eng, groupPeriodFired, g)
 	}
 	g.periodTimer.ResetAt(g.periodStart + g.ctl.P.Period)

@@ -32,7 +32,7 @@ import (
 //     arbitrary task in O(log n).
 //
 // The sift/remove logic mirrors the position-tracked 4-ary heap in
-// sim/engine.go, specialized to *Task instead of event slots. The
+// sim/engine.go, specialized to *Task instead of *sim.Timer. The
 // duplication is deliberate (shared helpers would put non-inlinable
 // callbacks on the hottest loops); fixes to one must be mirrored in the
 // other.

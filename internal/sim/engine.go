@@ -19,19 +19,22 @@
 //
 // # Allocation model
 //
-// The event queue is a pooled, index-based 4-ary min-heap specialized to
-// (time, sequence) keys: event state lives in a flat slot arena that is
-// recycled through a free list, so scheduling an event allocates nothing
-// once the arena has warmed up. The only per-event allocation left is the
-// caller's closure, and Timer removes even that for the recurring patterns
-// (slice timers, IO completions): bind the callback once, Reset forever.
-// Slots are identified by EventID handles carrying a generation counter,
+// The event queue is an intrusive 4-ary min-heap of Timers keyed by
+// (time, sequence): a Timer carries its own heap position, so arming,
+// re-arming and stopping one touches no side table and allocates nothing.
+// Recurring callbacks (slice timers, IO completions) bind a Timer once and
+// Reset it forever. One-shot events (At, After, AtArg, AtBatch) run on
+// engine-owned Timers drawn from a pool that grows in fixed-size blocks,
+// so pointers stay stable and a one-shot costs no heap object of its own
+// once the pool has warmed up; the only per-event allocation left is a
+// caller's closure. One-shot EventID handles carry a generation counter,
 // which makes Cancel on an already-fired or already-canceled event a safe
-// no-op without keeping the dead slot alive.
+// no-op.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // Time is simulated time in nanoseconds since the start of the run.
@@ -66,41 +69,31 @@ func (t Time) String() string {
 	return fmt.Sprintf("%dns", int64(t))
 }
 
-// EventID is a handle to a scheduled event. The zero EventID refers to no
-// event; Cancel of a zero, fired, or already-canceled handle is a no-op.
-// Handles encode a slot index plus a generation counter, so they stay safe
-// to hold after the event fires and its slot is recycled.
+// EventID is a handle to a scheduled one-shot event. The zero EventID
+// refers to no event; Cancel of a zero, fired, or already-canceled handle is
+// a no-op. Handles encode a pool index plus a generation counter, so they
+// stay safe to hold after the event fires and its pooled Timer is reused.
 type EventID uint64
 
 // None is the zero EventID: a handle to no event.
 const None EventID = 0
 
-func packID(idx, gen uint32) EventID { return EventID(uint64(gen)<<32 | uint64(idx)) }
-
-// eventSlot is pooled event state. Slots are recycled through the free
-// list; gen increments at every release so stale EventIDs never match.
-// An event carries either fn (a plain closure) or argFn+arg (a static
-// callback plus its receiver, the allocation-free form used by AtArg).
-type eventSlot struct {
-	at    Time
-	seq   uint64
-	fn    func()
-	argFn func(any)
-	arg   any
-	gen   uint32
-	pos   int32 // index into Engine.order; -1 when not queued
-}
+// poolBlock is how many one-shot Timers the engine allocates at a time.
+const poolBlock = 64
 
 // Engine is a discrete-event simulation executor. The zero value is not
 // usable; call NewEngine. An Engine is goroutine-confined (see the package
 // comment); its executor entry points panic when entered concurrently or
 // re-entrantly from an event callback.
 type Engine struct {
-	now       Time
-	seq       uint64
-	slots     []eventSlot
-	free      []uint32
-	order     []heapEntry // 4-ary min-heap keyed by (at, seq)
+	now   Time
+	seq   uint64
+	order []heapEntry // 4-ary min-heap keyed by (at, seq)
+	// hole is set while step runs a callback and order[0] still holds the
+	// fired Timer, whose place the callback's first arm takes (see step).
+	hole      bool
+	pool      []*[poolBlock]Timer // engine-owned one-shot Timers
+	free      []*Timer            // the idle ones
 	processed uint64
 	// running guards the executor entry points against re-entrant Step/Run
 	// from inside a callback and, best-effort, against concurrent use from
@@ -109,24 +102,21 @@ type Engine struct {
 	// data race by definition — the race detector reports it regardless,
 	// while the hot Step path stays free of atomic ops.
 	running bool
-	// idxSeed and orderSeed are the embedded first backings of free and
-	// order, so a fresh engine's queue slices cost no separate allocation;
-	// either slice that outgrows its seed falls back to append growth.
-	idxSeed   [64]uint32
+	// freeSeed and orderSeed are the embedded first backings of free and
+	// order; a slice that outgrows its seed falls back to append growth.
+	freeSeed  [64]*Timer
 	orderSeed [64]heapEntry
 }
 
-// heapEntry is one element of the event heap. It carries a copy of the
-// slot's firing time next to the slot index, so the common heap comparison
-// (distinct times) touches only the contiguous order array — no
-// pointer-chase into the slot arena on the hottest loops (siftUp/siftDown
-// run on every schedule, cancel and pop). Only the tie-break on equal
-// times reads the slots' seq fields. The entry stays 16 bytes so sift
-// swaps move little; the slot remains the source of truth, and the time
-// copy is written once at push and never mutated while queued.
+// heapEntry is one element of the event heap: the queued Timer and its
+// (time, sequence) key. The key lives here rather than in the Timer, so a
+// comparison reads only the contiguous order array. Equal times are
+// common (period ticks, spawn waves), so the tie-break must not chase the
+// Timer pointer.
 type heapEntry struct {
 	at  Time
-	idx uint32
+	seq uint64
+	tm  *Timer
 }
 
 // enter asserts single-goroutine use of the executor; leave releases it.
@@ -141,94 +131,101 @@ func (e *Engine) leave() { e.running = false }
 
 // NewEngine returns an empty engine with the clock at zero.
 func NewEngine() *Engine {
-	// Seed the slot arena, free list and heap with one round of capacity —
-	// the index slices carve the embedded idxSeed array — instead of ~15
-	// append-doubling steps as the first few dozen events trickle in
-	// (machines are built per trial, so construction cost is a steady-state
-	// cost for sweeps).
-	const seedCap = 64
-	e := &Engine{slots: make([]eventSlot, 0, seedCap)}
-	e.free = e.idxSeed[0:0:seedCap]
-	e.order = e.orderSeed[0:0:seedCap]
+	// Carve the embedded seeds: machines are built per trial.
+	e := &Engine{}
+	e.free = e.freeSeed[0:0:len(e.freeSeed)]
+	e.order = e.orderSeed[0:0:len(e.orderSeed)]
 	return e
 }
 
 // Reset returns the engine to its just-constructed state — clock at zero,
 // no pending events, sequence and processed counters cleared — while
-// keeping every arena the previous run grew: the slot pool, free list and
-// heap order array retain their capacity, so a reused engine schedules its
-// first few thousand events without a single allocation. Every slot's
-// generation is bumped, which atomically invalidates all outstanding
-// EventIDs: a Timer or raw handle held from before the Reset becomes a
-// stale id whose Cancel/Pending/EventTime are safe no-ops, exactly as if
-// its event had already fired. Determinism is preserved because event
-// ordering is strictly (time, sequence) and both restart from zero.
+// keeping the one-shot pool and heap array the previous run grew, so a
+// reused engine schedules without allocating. Every queued Timer is
+// un-queued (it reports not pending, as if it had fired) and every
+// one-shot returns to the pool, where its next use bumps its generation:
+// handles from before the Reset stay stale. Determinism is preserved
+// because ordering is strictly (time, sequence) and both restart from zero.
 func (e *Engine) Reset() {
 	e.enter("Reset")
 	defer e.leave()
-	e.now = 0
-	e.seq = 0
-	e.processed = 0
+	e.now, e.seq, e.processed = 0, 0, 0
+	for _, ent := range e.order {
+		ent.tm.pos = 0
+	}
 	e.order = e.order[:0]
+	e.hole = false
+	// Refill high-to-low, so Timers go out in index order as on a fresh engine.
 	e.free = e.free[:0]
-	// Refill the free list high-to-low so allocation order after a Reset
-	// matches a fresh engine's append order (slot 0 first).
-	for i := len(e.slots) - 1; i >= 0; i-- {
-		s := &e.slots[i]
-		s.fn = nil
-		s.argFn = nil
-		s.arg = nil
-		s.pos = -1
-		s.gen++
-		e.free = append(e.free, uint32(i))
+	for i := len(e.pool)*poolBlock - 1; i >= 0; i-- {
+		e.recycle(e.pooled(uint32(i)))
 	}
 }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending returns the number of events currently queued.
-func (e *Engine) Pending() int { return len(e.order) }
+// Pending returns the number of events currently queued: inside a
+// callback, the fired root step has left in place does not count.
+func (e *Engine) Pending() int {
+	if e.hole {
+		return len(e.order) - 1
+	}
+	return len(e.order)
+}
 
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// ---- slot pool ---------------------------------------------------------
+// ---- one-shot pool -----------------------------------------------------
 
-func (e *Engine) allocSlot() uint32 {
-	if n := len(e.free); n > 0 {
-		idx := e.free[n-1]
-		e.free = e.free[:n-1]
-		return idx
+func (e *Engine) pooled(i uint32) *Timer { return &e.pool[i/poolBlock][i%poolBlock] }
+
+// oneShot arms an idle pool Timer to run argFn(arg) (or the func() in arg
+// when argFn is nil) at t and returns its handle. Handing the Timer out
+// bumps its generation, so every handle to its earlier uses goes stale.
+func (e *Engine) oneShot(t Time, argFn func(any), arg any) EventID {
+	if len(e.free) == 0 {
+		e.grow()
 	}
-	e.slots = append(e.slots, eventSlot{gen: 1})
-	return uint32(len(e.slots) - 1)
+	n := len(e.free) - 1
+	tm := e.free[n]
+	e.free = e.free[:n]
+	tm.gen++
+	tm.argFn, tm.arg = argFn, arg
+	e.arm(tm, t)
+	return EventID(uint64(tm.gen)<<32 | uint64(tm.idx))
 }
 
-// releaseSlot retires a fired or canceled slot: the generation bump
-// invalidates every outstanding handle before the free list reuses it.
-func (e *Engine) releaseSlot(idx uint32) {
-	s := &e.slots[idx]
-	s.fn = nil
-	s.argFn = nil
-	s.arg = nil
-	s.pos = -1
-	s.gen++
-	e.free = append(e.free, idx)
+// grow adds a block of idle Timers to the pool.
+func (e *Engine) grow() {
+	b := new([poolBlock]Timer)
+	base := uint32(len(e.pool)) * poolBlock
+	e.pool = append(e.pool, b)
+	for i := poolBlock - 1; i >= 0; i-- {
+		b[i].idx = base + uint32(i)
+		e.free = append(e.free, &b[i])
+	}
 }
 
-// slotOf resolves a live handle, or nil if the event fired, was canceled,
-// or never existed.
-func (e *Engine) slotOf(id EventID) *eventSlot {
+// recycle returns an un-queued one-shot to the pool.
+func (e *Engine) recycle(tm *Timer) {
+	tm.argFn, tm.arg = nil, nil
+	e.free = append(e.free, tm)
+}
+
+// live resolves a handle to its queued one-shot, or nil if the event
+// fired, was canceled, or never existed.
+func (e *Engine) live(id EventID) *Timer {
 	idx := uint32(id)
-	if id == None || int(idx) >= len(e.slots) {
+	if id == None || int(idx) >= len(e.pool)*poolBlock {
 		return nil
 	}
-	s := &e.slots[idx]
-	if s.gen != uint32(id>>32) || s.pos < 0 {
+	tm := e.pooled(idx)
+	if tm.gen != uint32(id>>32) || tm.pos == 0 {
 		return nil
 	}
-	return s
+	return tm
 }
 
 // ---- 4-ary heap --------------------------------------------------------
@@ -236,24 +233,23 @@ func (e *Engine) slotOf(id EventID) *eventSlot {
 // Keys are (at, seq); seq is the global schedule counter, so ties resolve
 // in insertion order and runs are fully deterministic. A 4-ary layout
 // halves the tree depth of a binary heap and keeps the children of one
-// node on a single cache line of indices.
+// node adjacent in memory. Every move writes the Timer's pos (heap
+// position + 1, so 0 means "not queued").
 //
 // sched/runqueue.go carries a sibling of this position-tracked 4-ary heap
 // specialized to *Task. The duplication is deliberate — a shared helper
 // would need non-inlinable less/position callbacks on the hottest loops —
 // but it means heap-logic fixes must be mirrored there.
 
-func (e *Engine) entryLess(a, b heapEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return e.slots[a.idx].seq < e.slots[b.idx].seq
-}
-
-func (e *Engine) heapPush(idx uint32, at Time) {
-	e.slots[idx].pos = int32(len(e.order))
-	e.order = append(e.order, heapEntry{at: at, idx: idx})
-	e.siftUp(len(e.order) - 1)
+// before is 1 when a sorts before b in (at, seq) order and 0 otherwise:
+// the borrow out of the 128-bit subtraction (a.at, a.seq) - (b.at, b.seq),
+// with the sign bit of at flipped so signed times compare as unsigned.
+// It has no branches to mispredict.
+func before(a, b heapEntry) int {
+	const flip = 1 << 63
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at)^flip, uint64(b.at)^flip, borrow)
+	return int(borrow)
 }
 
 func (e *Engine) siftUp(i int) {
@@ -261,15 +257,15 @@ func (e *Engine) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 4
 		p := e.order[parent]
-		if !e.entryLess(ent, p) {
+		if before(ent, p) == 0 {
 			break
 		}
 		e.order[i] = p
-		e.slots[p.idx].pos = int32(i)
+		p.tm.pos = int32(i + 1)
 		i = parent
 	}
 	e.order[i] = ent
-	e.slots[ent.idx].pos = int32(i)
+	ent.tm.pos = int32(i + 1)
 }
 
 func (e *Engine) siftDown(i int) {
@@ -281,169 +277,137 @@ func (e *Engine) siftDown(i int) {
 			break
 		}
 		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if e.entryLess(e.order[c], e.order[best]) {
-				best = c
+		if first+4 <= n {
+			// A full node: a two-round tournament without branches.
+			c := (*[4]heapEntry)(e.order[first : first+4])
+			b01, b23 := before(c[1], c[0]), 2+before(c[3], c[2])
+			best += b01 ^ (b01^b23)&-before(c[b23&3], c[b01&3])
+		} else {
+			for c := first + 1; c < n; c++ {
+				if before(e.order[c], e.order[best]) != 0 {
+					best = c
+				}
 			}
 		}
 		b := e.order[best]
-		if !e.entryLess(b, ent) {
+		if before(b, ent) == 0 {
 			break
 		}
 		e.order[i] = b
-		e.slots[b.idx].pos = int32(i)
+		b.tm.pos = int32(i + 1)
 		i = best
 	}
 	e.order[i] = ent
-	e.slots[ent.idx].pos = int32(i)
+	ent.tm.pos = int32(i + 1)
 }
 
-// heapRemove unlinks the element at heap position i.
-func (e *Engine) heapRemove(i int) {
-	n := len(e.order) - 1
-	moved := e.order[n]
-	e.order = e.order[:n]
-	if i == n {
+// arm queues tm to fire at t with the next sequence number, exactly as a
+// fresh At would. A queued tm is re-keyed in place; an unqueued one takes
+// the fired root's place if step left it open, else joins at the bottom.
+func (e *Engine) arm(tm *Timer, t Time) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+	}
+	ent := heapEntry{at: t, seq: e.seq, tm: tm}
+	e.seq++
+	if i := int(tm.pos) - 1; i >= 0 {
+		e.order[i] = ent
+		e.siftDown(i)
+		e.siftUp(i)
 		return
 	}
-	e.order[i] = moved
-	e.slots[moved.idx].pos = int32(i)
-	e.siftDown(i)
-	e.siftUp(i)
+	if e.hole {
+		e.hole = false
+		e.order[0] = ent
+		e.siftDown(0)
+		return
+	}
+	e.order = append(e.order, ent)
+	e.siftUp(len(e.order) - 1)
+}
+
+// unqueue removes a queued tm from the heap, filling its place with the
+// last entry.
+func (e *Engine) unqueue(tm *Timer) {
+	i, n := int(tm.pos-1), len(e.order)-1
+	tm.pos = 0
+	moved := e.order[n]
+	e.order = e.order[:n]
+	if i < n {
+		e.order[i] = moved
+		e.siftDown(i)
+		e.siftUp(i)
+	}
 }
 
 // ---- scheduling --------------------------------------------------------
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it is always a model bug.
-func (e *Engine) At(t Time, fn func()) EventID {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	idx := e.allocSlot()
-	s := &e.slots[idx]
-	s.at = t
-	s.seq = e.seq
-	s.fn = fn
-	e.seq++
-	e.heapPush(idx, s.at)
-	return packID(idx, s.gen)
-}
+func (e *Engine) At(t Time, fn func()) EventID { return e.oneShot(t, nil, fn) }
 
 // After schedules fn to run d after the current time.
-func (e *Engine) After(d Time, fn func()) EventID {
-	if d < 0 {
-		d = 0
-	}
-	return e.At(e.now+d, fn)
-}
+func (e *Engine) After(d Time, fn func()) EventID { return e.At(e.now+max(d, 0), fn) }
 
 // AtArg schedules fn(arg) to run at absolute time t. It is the
 // allocation-free form of At for hot paths: with a package-level fn (a
 // static func value) and a pointer-shaped arg, scheduling allocates
 // nothing — no closure is built.
-func (e *Engine) AtArg(t Time, fn func(any), arg any) EventID {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	idx := e.allocSlot()
-	s := &e.slots[idx]
-	s.at = t
-	s.seq = e.seq
-	s.argFn = fn
-	s.arg = arg
-	e.seq++
-	e.heapPush(idx, s.at)
-	return packID(idx, s.gen)
-}
+func (e *Engine) AtArg(t Time, fn func(any), arg any) EventID { return e.oneShot(t, fn, arg) }
 
-// AtBatch schedules fn(arg) at absolute time t for every arg, as if by
-// consecutive AtArg calls (consecutive sequence numbers, so relative firing
-// order matches the args order exactly), but defers the heap restore to one
-// pass: slots are appended to the heap array first, then the structure is
-// fixed either by per-item sift-ups or — when the batch dominates the queue
-// — a single Floyd build-heap. Event semantics and pop order are identical
-// to the sequential calls; only the sift work is amortized. This is the
-// batch path for timer/arrival storms (spawn waves, simultaneous period
-// ticks).
+// AtBatch schedules fn(arg) at absolute time t for every arg, exactly as
+// consecutive AtArg calls do: consecutive sequence numbers, so relative
+// firing order matches the args order. It is the spawn-wave path: an
+// entry never sifts above an earlier entry of the same time.
 func (e *Engine) AtBatch(t Time, fn func(any), args ...any) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	if len(args) == 0 {
-		return
-	}
-	base := len(e.order)
 	for _, arg := range args {
-		idx := e.allocSlot()
-		s := &e.slots[idx]
-		s.at = t
-		s.seq = e.seq
-		s.argFn = fn
-		s.arg = arg
-		s.pos = int32(len(e.order))
-		e.order = append(e.order, heapEntry{at: t, idx: idx})
-		e.seq++
-	}
-	// Restore the heap invariant once. When the batch is a large fraction
-	// of the queue, Floyd's bottom-up heapify is O(n) total; otherwise
-	// sifting each appended slot up (in append order, so earlier sifts
-	// never disturb later append positions) costs O(k log n).
-	if n := len(e.order); len(args) >= n/2 {
-		for i := (n - 2) / 4; i >= 0; i-- {
-			e.siftDown(i)
-		}
-	} else {
-		for i := base; i < len(e.order); i++ {
-			e.siftUp(i)
-		}
+		e.AtArg(t, fn, arg)
 	}
 }
 
 // Cancel removes a scheduled event so it will not fire. Canceling a zero
 // handle, an already-fired event or an already-canceled event is a no-op.
 func (e *Engine) Cancel(id EventID) {
-	s := e.slotOf(id)
-	if s == nil {
-		return
+	if tm := e.live(id); tm != nil {
+		e.unqueue(tm)
+		e.recycle(tm)
 	}
-	pos := int(s.pos)
-	e.heapRemove(pos)
-	e.releaseSlot(uint32(id))
 }
 
 // EventTime reports when a scheduled event will fire; ok is false when the
 // handle no longer refers to a queued event.
 func (e *Engine) EventTime(id EventID) (at Time, ok bool) {
-	s := e.slotOf(id)
-	if s == nil {
-		return 0, false
+	if tm := e.live(id); tm != nil {
+		return e.order[tm.pos-1].at, true
 	}
-	return s.at, true
+	return 0, false
 }
 
 // ---- timers ------------------------------------------------------------
 
-// Timer is a reusable scheduled callback bound to one Engine. It exists so
-// recurring reschedule patterns pay zero allocations per event: the
-// callback is bound once (at NewTimer, Init or InitArg), and Reset/ResetAt
-// recycle a pooled event slot. A Timer is single-shot per arm (fire once,
-// then Pending reports false) and, like its Engine, goroutine-confined.
+// Timer is a reusable scheduled callback bound to one Engine, and the
+// event heap's element: it carries its own heap position (its firing time
+// and sequence number sit in its heap entry). Recurring reschedule
+// patterns pay zero allocations per event: the callback is bound once (at
+// NewTimer, Init or InitArg), and Reset/ResetAt re-key the Timer in place.
+// A Timer is single-shot per arm (fire once, then Pending reports false)
+// and, like its Engine, goroutine-confined.
 //
 // The zero Timer is unbound: embed it in a long-lived struct and bind it
 // with Init or InitArg on first use — that removes even the Timer's own
 // heap allocation, and InitArg's static-callback-plus-receiver form removes
 // the closure too.
 type Timer struct {
-	eng   *Engine
-	fn    func()
+	eng *Engine // nil for the engine's pooled one-shots
+	// A Timer runs argFn(arg), a static callback plus its receiver (the
+	// allocation-free form), or, when argFn is nil, the func() held in arg
+	// (a func value is pointer-shaped, so storing it allocates nothing).
 	argFn func(any)
 	arg   any
-	id    EventID
+	pos   int32 // heap position + 1; 0 when not queued
+	// gen and idx identify a pooled one-shot: how many times it has been
+	// handed out (the EventID's generation) and its pool index.
+	gen, idx uint32
 }
 
 // NewTimer returns an unarmed timer that will run fn each time it fires.
@@ -451,7 +415,7 @@ func (e *Engine) NewTimer(fn func()) *Timer {
 	if fn == nil {
 		panic("sim: NewTimer with nil callback")
 	}
-	return &Timer{eng: e, fn: fn}
+	return &Timer{eng: e, arg: fn}
 }
 
 // Init binds an embedded (zero-value) timer to an engine and callback.
@@ -463,7 +427,7 @@ func (tm *Timer) Init(e *Engine, fn func()) {
 	if fn == nil {
 		panic("sim: Timer.Init with nil callback")
 	}
-	tm.eng, tm.fn = e, fn
+	tm.eng, tm.arg = e, fn
 }
 
 // InitArg binds an embedded timer to a static callback and its receiver
@@ -484,36 +448,30 @@ func (tm *Timer) Bound() bool { return tm.eng != nil }
 
 // Reset arms the timer to fire d after the current time, replacing any
 // pending arm.
-func (tm *Timer) Reset(d Time) {
-	if d < 0 {
-		d = 0
-	}
-	tm.ResetAt(tm.eng.now + d)
-}
+func (tm *Timer) Reset(d Time) { tm.eng.arm(tm, tm.eng.now+max(d, 0)) }
 
 // ResetAt arms the timer to fire at absolute time t, replacing any pending
 // arm.
-func (tm *Timer) ResetAt(t Time) {
-	tm.eng.Cancel(tm.id)
-	if tm.argFn != nil {
-		tm.id = tm.eng.AtArg(t, tm.argFn, tm.arg)
-	} else {
-		tm.id = tm.eng.At(t, tm.fn)
-	}
-}
+func (tm *Timer) ResetAt(t Time) { tm.eng.arm(tm, t) }
 
 // Stop disarms the timer. Stopping an unarmed or fired timer is a no-op.
 func (tm *Timer) Stop() {
-	tm.eng.Cancel(tm.id)
-	tm.id = None
+	if tm.pos != 0 {
+		tm.eng.unqueue(tm)
+	}
 }
 
 // Pending reports whether the timer is armed and has not fired.
-func (tm *Timer) Pending() bool { return tm.eng.slotOf(tm.id) != nil }
+func (tm *Timer) Pending() bool { return tm.pos != 0 }
 
 // When reports the pending fire time; ok is false when the timer is not
 // armed.
-func (tm *Timer) When() (at Time, ok bool) { return tm.eng.EventTime(tm.id) }
+func (tm *Timer) When() (at Time, ok bool) {
+	if tm.pos == 0 {
+		return 0, false
+	}
+	return tm.eng.order[tm.pos-1].at, true
+}
 
 // ---- execution ---------------------------------------------------------
 
@@ -524,34 +482,45 @@ func (e *Engine) Step() bool {
 	return e.step()
 }
 
+// step fires the root without removing it first: the root stays as a hole
+// while the callback runs, the callback's first arm replaces it in place,
+// and a hole still open when the callback returns is filled from the last
+// entry. The common fire-and-re-arm pattern therefore costs one sift-down,
+// not two. Every other heap operation can leave the hole alone: its key
+// is below every queued key, so a sift that starts below the root never
+// reaches it.
 func (e *Engine) step() bool {
 	if len(e.order) == 0 {
 		return false
 	}
 	top := e.order[0]
-	idx := top.idx
-	s := &e.slots[idx]
 	if top.at < e.now {
 		panic("sim: event queue went backwards")
 	}
 	e.now = top.at
-	fn, argFn, arg := s.fn, s.argFn, s.arg
-	// Retire the slot before running the callback so it can immediately
-	// recycle the slot for whatever it schedules next.
-	n := len(e.order) - 1
-	moved := e.order[n]
-	e.order = e.order[:n]
-	if n > 0 {
-		e.order[0] = moved
-		e.slots[moved.idx].pos = 0
-		e.siftDown(0)
+	tm := top.tm
+	tm.pos = 0
+	argFn, arg := tm.argFn, tm.arg
+	if tm.eng == nil {
+		// Recycle a fired one-shot before the callback, so whatever the
+		// callback schedules next can reuse it.
+		e.recycle(tm)
 	}
-	e.releaseSlot(idx)
+	e.hole = true
 	e.processed++
 	if argFn != nil {
 		argFn(arg)
 	} else {
-		fn()
+		arg.(func())()
+	}
+	if e.hole {
+		e.hole = false
+		n := len(e.order) - 1
+		e.order[0] = e.order[n]
+		e.order = e.order[:n]
+		if n > 0 {
+			e.siftDown(0)
+		}
 	}
 	return true
 }
@@ -563,10 +532,7 @@ func (e *Engine) Run(maxEvents uint64) uint64 {
 	e.enter("Run")
 	defer e.leave()
 	var n uint64
-	for maxEvents == 0 || n < maxEvents {
-		if !e.step() {
-			break
-		}
+	for (maxEvents == 0 || n < maxEvents) && e.step() {
 		n++
 	}
 	return n
@@ -597,7 +563,5 @@ func (e *Engine) RunUntil(deadline Time) {
 	for len(e.order) > 0 && e.order[0].at <= deadline {
 		e.step()
 	}
-	if e.now < deadline {
-		e.now = deadline
-	}
+	e.now = max(e.now, deadline)
 }

@@ -73,12 +73,12 @@ func TestEngineStaleHandleAfterFire(t *testing.T) {
 	if _, ok := eng.EventTime(ev); ok {
 		t.Fatal("fired event still reports a fire time")
 	}
-	// The slot is recycled; the stale handle must not cancel its new tenant.
+	// The pooled Timer is reused; the stale handle must not cancel its new tenant.
 	fired := false
 	ev2 := eng.At(2*Millisecond, func() { fired = true })
 	eng.Cancel(ev)
 	if _, ok := eng.EventTime(ev2); !ok {
-		t.Fatal("stale Cancel hit a recycled slot")
+		t.Fatal("stale Cancel hit a reused one-shot Timer")
 	}
 	eng.Run(0)
 	if !fired {

@@ -84,7 +84,7 @@ var nopFn = func() {}
 
 func TestAllocsPerEventAfter(t *testing.T) {
 	eng := NewEngine()
-	// Warm the slot arena and heap capacity.
+	// Warm the one-shot pool and heap capacity.
 	for i := 0; i < 64; i++ {
 		eng.After(Microsecond, nopFn)
 	}
@@ -136,12 +136,62 @@ func TestSlotPoolReuse(t *testing.T) {
 		eng.After(Microsecond, nopFn)
 		eng.Step()
 	}
-	// Sequential schedule/fire must keep the arena at O(1) slots, not grow
-	// it per event.
-	if n := len(eng.slots); n > 8 {
-		t.Fatalf("slot arena grew to %d slots for sequential events, want O(1)", n)
+	// Sequential schedule/fire must keep the one-shot pool at one block,
+	// not grow it per event.
+	if n := len(eng.pool); n > 1 {
+		t.Fatalf("one-shot pool grew to %d blocks for sequential events, want O(1)", n)
 	}
 	if eng.Processed() != rounds {
 		t.Fatalf("processed %d, want %d", eng.Processed(), rounds)
+	}
+}
+
+// tickArg is a static InitArg callback: it counts fires in *int.
+func tickArg(a any) { *a.(*int)++ }
+
+func TestEngineResetUnqueuesTimers(t *testing.T) {
+	eng := NewEngine()
+	var host struct {
+		tm    Timer // embedded, bound with InitArg like the scheduler's timers
+		fires int
+	}
+	host.tm.InitArg(eng, tickArg, &host.fires)
+	shots := 0
+	host.tm.Reset(Millisecond)
+	old := eng.After(2*Millisecond, func() { shots++ })
+	eng.Reset()
+
+	if host.tm.Pending() {
+		t.Fatal("timer armed before Reset still pending")
+	}
+	if at, ok := host.tm.When(); ok {
+		t.Fatalf("timer armed before Reset reports When = %v", at)
+	}
+	if at, ok := eng.EventTime(old); ok {
+		t.Fatalf("one-shot handle from before Reset reports EventTime = %v", at)
+	}
+	if n := eng.Pending(); n != 0 {
+		t.Fatalf("Pending after Reset = %d, want 0", n)
+	}
+
+	// A new one-shot reuses the pool Timer the old handle named; the old
+	// handle must not reach it.
+	eng.After(2*Millisecond, func() { shots++ })
+	eng.Cancel(old)
+	if _, ok := eng.EventTime(old); ok {
+		t.Fatal("stale handle resolves to the new one-shot")
+	}
+	host.tm.Reset(Millisecond)
+	if eng.Run(0) != 2 || host.fires != 1 || shots != 1 {
+		t.Fatalf("after Reset: timer fired %d, one-shot fired %d (processed %d), want 1 and 1",
+			host.fires, shots, eng.Processed())
+	}
+	// Reset returns queued one-shots to the pool instead of leaking them.
+	for i := 0; i < 2*poolBlock; i++ {
+		eng.After(Millisecond, nopFn)
+		eng.Reset()
+	}
+	if n := len(eng.pool); n != 1 {
+		t.Fatalf("one-shot pool grew to %d blocks across Resets, want 1", n)
 	}
 }

@@ -302,13 +302,3 @@ func ParseList(list string) (CPUSet, error) {
 	}
 	return s, nil
 }
-
-// MustParseList is ParseList that panics on error; for constants in tests
-// and examples.
-func MustParseList(list string) CPUSet {
-	s, err := ParseList(list)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}

@@ -163,15 +163,6 @@ func TestParseListErrors(t *testing.T) {
 	}
 }
 
-func TestMustParseListPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustParseList on garbage should panic")
-		}
-	}()
-	MustParseList("nope")
-}
-
 // Property: String/ParseList round-trips for arbitrary sets.
 func TestCPUSetRoundTripProperty(t *testing.T) {
 	f := func(cpus []uint16) bool {
