@@ -15,25 +15,10 @@ import (
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
-// experimentsSeries returns the seven standard platform series as specs.
-func experimentsSeries() []platform.Spec {
-	var out []platform.Spec
-	for _, s := range platform.StandardSeries() {
-		out = append(out, platform.Spec{Kind: s.Kind, Mode: s.Mode})
-	}
-	return out
-}
-
-// deployFor builds a deployment with default calibrations.
-func deployFor(spec platform.Spec, host *topology.Topology, seed uint64) (*platform.Deployment, error) {
-	return platform.Deploy(spec, machine.HostDefaults(host, seed), hypervisor.DefaultParams(), seed)
-}
-
-// benchCfg keeps per-iteration cost low; absolute values are not the point
-// of the benchmark harness — regenerating the figures is.
+// benchCfg is the quick one-repetition run the ablation benchmarks share:
+// their point is the reported ratio, not the time per iteration.
 func benchCfg(seed uint64) experiments.Config {
 	return experiments.Config{Quick: true, Reps: 1, Seed: seed}
 }
@@ -44,159 +29,6 @@ func reportFigure(b *testing.B, f experiments.Figure, series, x string) {
 	b.Helper()
 	if c, ok := f.Cell(series, x); ok {
 		b.ReportMetric(c.Ratio, "overhead_ratio")
-	}
-}
-
-// ---- one benchmark per paper table ------------------------------------
-
-// BenchmarkTable1Workloads builds each of Table I's workload models and
-// spawns it onto a fresh host machine (no run): the cost of workload
-// generation itself.
-func BenchmarkTable1Workloads(b *testing.B) {
-	host := topology.PaperHost()
-	ws := []workload.Workload{
-		workload.DefaultTranscode(),
-		workload.DefaultMPISearch(),
-		workload.DefaultWeb(),
-		workload.DefaultNoSQL(),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, w := range ws {
-			m := machine.MustNew(machine.HostDefaults(host, uint64(i)))
-			w.Spawn(workload.EnvFor(m, nil, topology.CPUSet{}, 16))
-		}
-	}
-}
-
-// BenchmarkTable2Instances deploys every Table II instance size on every
-// platform (build cost of the platform assembly path).
-func BenchmarkTable2Instances(b *testing.B) {
-	host := topology.PaperHost()
-	for i := 0; i < b.N; i++ {
-		for _, it := range experiments.InstanceTypes {
-			for _, s := range experimentsSeries() {
-				s.Cores = it.Cores
-				if _, err := deployFor(s, host, uint64(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkTable3Platforms runs a tiny smoke workload on each of Table III's
-// four platforms.
-func BenchmarkTable3Platforms(b *testing.B) {
-	host := topology.PaperHost()
-	w := workload.Transcode{TotalWork: sim.FromSeconds(0.2), Threads: 4, HeavyThreads: 4, Segments: 1}
-	for i := 0; i < b.N; i++ {
-		for _, s := range experimentsSeries() {
-			s.Cores = 4
-			d, err := deployFor(s, host, uint64(i))
-			if err != nil {
-				b.Fatal(err)
-			}
-			w.Spawn(workload.EnvFor(d.M, d.Group, d.Affinity, 4))
-			d.M.Run(0)
-		}
-	}
-}
-
-// ---- one benchmark per paper figure ------------------------------------
-
-func BenchmarkFig3FFmpeg(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunFig3(benchCfg(uint64(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportFigure(b, f, "Vanilla VM", "Large")
-	}
-}
-
-func BenchmarkFig4MPI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunFig4(benchCfg(uint64(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportFigure(b, f, "Vanilla CN", "xLarge")
-	}
-}
-
-func BenchmarkFig5WordPress(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunFig5(benchCfg(uint64(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportFigure(b, f, "Pinned CN", "xLarge")
-	}
-}
-
-func BenchmarkFig6Cassandra(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunFig6(benchCfg(uint64(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportFigure(b, f, "Vanilla CN", "xLarge")
-	}
-}
-
-func BenchmarkFig7CHR(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunFig7(benchCfg(uint64(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		// The headline: the same container is slower on the 112-core host.
-		small, ok1 := f.Cell("Pinned CN", "16 cores")
-		big, ok2 := f.Cell("Pinned CN", "112 cores")
-		if ok1 && ok2 && small.Summary.Mean > 0 {
-			b.ReportMetric(big.Summary.Mean/small.Summary.Mean, "host112_vs_host16")
-		}
-	}
-}
-
-func BenchmarkFig8Multitask(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunFig8(benchCfg(uint64(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		one, ok1 := f.Cell("Vanilla CN", "1 Large Task")
-		thirty, ok2 := f.Cell("Vanilla CN", "30 Small Tasks")
-		if ok1 && ok2 && one.Summary.Mean > 0 {
-			b.ReportMetric(thirty.Summary.Mean/one.Summary.Mean, "multitask_slowdown")
-		}
-	}
-}
-
-// BenchmarkFigNetMicroservice regenerates the extension figure (the §VI
-// future-work network-overhead study): a disk-free two-tier microservice
-// across all platforms.
-func BenchmarkFigNetMicroservice(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunFigNet(benchCfg(uint64(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportFigure(b, f, "Vanilla CN", "xLarge")
-	}
-}
-
-// BenchmarkCHRSweep regenerates the §IV-A CHR band analysis.
-func BenchmarkCHRSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bands, err := experiments.RunCHRSweep(benchCfg(uint64(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(bands) > 0 {
-			b.ReportMetric(bands[0].LowCHR, "ffmpeg_chr_low")
-		}
 	}
 }
 

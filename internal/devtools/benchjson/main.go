@@ -1,477 +1,120 @@
-// Command benchjson runs the repository's key micro- and macro-benchmarks
-// and writes their results (ns/op, B/op, allocs/op) as a stable JSON file,
-// so perf PRs can commit a baseline and later PRs can diff against it.
+// Command benchjson runs CI's three same-run fraction gates. It measures
+// five benchmarks of ./internal/experiments and fails when one of them
+// costs more than its fixed fraction of another:
 //
-// Usage (from the repo root):
+//   - ScenarioDispatch ≤ 0.05 × QuickFig3Serial: what the declarative
+//     engine adds to a figure run (registry lookup, validation, workload
+//     resolution, fingerprint) stays under 5% of the figure itself;
+//   - StoreHit ≤ 1.10 × MemoHit: a disk-backed warm hit stays within 10%
+//     of the in-memory memo hit, so durability is an open-time cost;
+//   - MemoHitParallel ≤ 1.50 × MemoHit: the sharded memo under
+//     GOMAXPROCS-way warm-key contention stays near the serial hit.
 //
-//	go run ./internal/devtools/benchjson                 # writes BENCH_PR3.json
-//	go run ./internal/devtools/benchjson -out bench.json -benchtime 2s
+// Both sides of a gate come from the same run on the same machine, so the
+// gates hold on any runner. Each benchmark runs three times and keeps its
+// best ns/op; a benchmark missing from the output fails the run by name.
 //
-//	# CI regression gate (what .github/workflows/ci.yml runs): measure once,
-//	# then fail if anything regressed >30% ns/op against either committed
-//	# baseline. The freshest baseline doubles as the machine-speed
-//	# calibration for the stale one. -compare without an explicit -out never
-//	# overwrites the committed baseline.
-//	go run ./internal/devtools/benchjson -out bench-ci.json -benchtime 0.3s -count 3 \
-//	    -compare BENCH_PR2.json -calibrate BENCH_PR3.json
-//	go run ./internal/devtools/benchjson -in bench-ci.json -compare BENCH_PR3.json
+// Usage, from the repository root (no flags):
 //
-//	# Scenario dispatch gate: the declarative engine's per-figure dispatch
-//	# machinery (registry lookup, validation, workload resolution,
-//	# fingerprint — BenchmarkScenarioDispatch) must cost <5% of the
-//	# same-run end-to-end figure time. Same-run, µs-vs-ms: immune to
-//	# cross-machine macro-benchmark noise, and missing names fail loudly.
-//	go run ./internal/devtools/benchjson -in bench-ci.json \
-//	    -fraction ScenarioDispatch=QuickFig3Serial:0.05
-//
-// The suite list is fixed to the benchmarks the perf acceptance criteria
-// track: the event-kernel, scheduler and steal hot paths, CPU-set algebra,
-// the trace-collector pipeline, the end-to-end quick figure run
-// (QuickFig3Serial, now registry-driven like every figure), the
-// scenario-dispatch machinery (ScenarioDispatch), and the trial store's
-// warm-hit path vs. the in-memory memo (StoreHit/MemoHit, gated with
-// -fraction StoreHit=MemoHit:1.10 — frac may exceed 1 for such
-// near-equality assertions).
+//	go run ./internal/devtools/benchjson
 package main
 
 import (
-	"bytes"
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"regexp"
-	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// suite is one `go test -bench` invocation: a package directory and the
-// benchmarks to run there.
-type suite struct {
-	pkg       string
-	pattern   string
-	benchtime string // overrides the global -benchtime when non-empty
+// pkg holds all five benchmarks.
+const pkg = "./internal/experiments"
+
+// runs lists what the gates read, one `go test` invocation each. Six
+// iterations of the figure are ~150 ms a sample; the ~80 ns hits get a
+// full second (~10M iterations) each, and MemoHit and StoreHit share a
+// process so their 10% comparison sees the same warm-up.
+var runs = []struct {
+	benchtime string
+	names     []string
+}{
+	{"6x", []string{"QuickFig3Serial"}},
+	{"0.3s", []string{"ScenarioDispatch"}},
+	{"1s", []string{"MemoHit", "StoreHit"}},
+	{"1s", []string{"MemoHitParallel"}},
 }
 
-var suites = []suite{
-	{pkg: ".", pattern: "^(BenchmarkEngineEvents|BenchmarkSchedulerSlice|BenchmarkCPUSetOps|BenchmarkTraceCollector)$"},
-	// The idle-balancing fast path: one pick on a busy two-LLC host, the
-	// empty-world probe the group-load index short-circuits, and the same
-	// pick on the saturated 1024-CPU dual-socket host (the word-masked
-	// scan / O(occupied sockets) scalability witness).
-	{pkg: "./internal/sched", pattern: "^(BenchmarkStealScan|BenchmarkStealMiss|BenchmarkBigTopology)$"},
-	// One full quick figure: the end-to-end number every micro-win must
-	// eventually show up in. Six iterations (~150ms) per sample keep the
-	// macro measurement's noise inside the 30% baseline gates.
-	{pkg: "./internal/experiments", pattern: "^BenchmarkQuickFig3Serial$", benchtime: "6x"},
-	// The declarative engine's dispatch machinery alone (no trials): the
-	// -fraction gate holds it under 5% of the same-run QuickFig3Serial.
-	{pkg: "./internal/experiments", pattern: "^BenchmarkScenarioDispatch$"},
-	// The warm-replay path of a whole figure (every trial a memo hit, zero
-	// simulations): the per-grid reassembly cost of million-trial sweeps.
-	{pkg: "./internal/experiments", pattern: "^BenchmarkMillionTrialReplay$"},
-	// The trial store's warm-hit path vs. the plain in-memory memo hit:
-	// the -fraction gate holds the disk-backed Get within 10% of the memo
-	// hit in the same run, so durability stays an open-time cost. The
-	// fixed 1s benchtime (both are ~80ns/op, so ~10M iterations each)
-	// keeps the two nanosecond-scale measurements stable enough for a
-	// 10%-headroom same-run comparison on noisy CI runners.
-	{pkg: "./internal/experiments", pattern: "^(BenchmarkMemoHit|BenchmarkStoreHit)$", benchtime: "1s"},
-	// The sharded memo under GOMAXPROCS-way warm-key contention: the
-	// -fraction gate holds the parallel per-op cost near the serial hit
-	// (the pre-shard single-RWMutex table serialized here).
-	{pkg: "./internal/experiments", pattern: "^BenchmarkMemoHitParallel$", benchtime: "1s"},
-	// The daemon's full warm request path (decode, key, sharded read,
-	// write) — the per-request cost bounding pinservd's warm throughput.
-	{pkg: "./internal/serve", pattern: "^BenchmarkServeWarm$"},
-	// The per-trial redeploy cost on a warm reuse arena: what a repetition
-	// pays instead of a full platform-stack build (PR 10's tentpole).
-	{pkg: "./internal/experiments", pattern: "^BenchmarkTrialReuse$"},
-	// The store's group-commit append: one 64-record batch per op. Fixed
-	// iteration count bounds the segment files the benchmark leaves in its
-	// temp dir (~64 records × ~29 B × 10k iterations ≈ 18 MB).
-	{pkg: "./internal/resultstore", pattern: "^BenchmarkStoreAppendBatch$", benchtime: "10000x"},
+// gates asserts small ≤ frac × big on the measured ns/op.
+var gates = []struct {
+	small, big string
+	frac       float64
+}{
+	{"ScenarioDispatch", "QuickFig3Serial", 0.05},
+	{"StoreHit", "MemoHit", 1.10},
+	{"MemoHitParallel", "MemoHit", 1.50},
 }
 
-// Result is one benchmark's parsed measurements.
-type Result struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	BPerOp      int64   `json:"b_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
-// Report is the file layout of BENCH_PR2.json.
-type Report struct {
-	GoVersion  string            `json:"go_version"`
-	GOMAXPROCS int               `json:"gomaxprocs"`
-	Benchmarks map[string]Result `json:"benchmarks"`
-}
-
-// benchLine matches `BenchmarkName-8  123  456 ns/op  7 B/op  8 allocs/op`.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+(\d+) B/op\s+(\d+) allocs/op)?`)
+// benchLine matches `BenchmarkName-8  123  456 ns/op ...`.
+var benchLine = regexp.MustCompile(`^Benchmark(\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op`)
 
 func main() {
-	var (
-		out       = flag.String("out", "BENCH_PR3.json", "output JSON path (empty = don't write)")
-		in        = flag.String("in", "", "reuse results from a previous -out JSON instead of running benchmarks")
-		benchtime = flag.String("benchtime", "1s", "go test -benchtime for the micro suites")
-		count     = flag.Int("count", 1, "go test -count")
-		compare   = flag.String("compare", "", "baseline JSON to diff against; regressions fail the run")
-		calibrate = flag.String("calibrate", "", "same-code baseline JSON used to estimate the machine-speed factor for -compare")
-		tolerance = flag.Float64("tolerance", 0.30, "ns/op regression fraction tolerated by -compare")
-		fracList  = flag.String("fraction", "", "comma list of small=big:frac assertions — measured 'small' ns/op must stay ≤ frac × measured 'big' ns/op (same run); names absent from the measurements fail loudly")
-		only      = flag.String("only", "", "comma list of benchmark names (without the Benchmark prefix) to run; suites with no selected benchmark are skipped, unknown names fail loudly")
-		gateList  = flag.String("gate", "", "comma list of benchmark names whose -compare regressions fail the run; others are reported informationally (default: all fail)")
-	)
-	flag.Parse()
-	fractions, err := parseFractions(*fracList)
-	if err != nil {
-		fatalf("fraction: %v", err)
-	}
-	gate := splitNames(*gateList)
-	// Refreshing the committed baseline and gating against one are separate
-	// intents: when -compare is requested and -out was not given explicitly,
-	// don't write — otherwise a casual `benchjson -compare ...` would clobber
-	// the committed BENCH_PR3.json with this machine's numbers.
-	outSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "out" {
-			outSet = true
-		}
-	})
-	if *compare != "" && !outSet {
-		*out = ""
-	}
-
-	rep := Report{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Benchmarks: map[string]Result{},
-	}
-	if *in != "" {
-		// Reuse a previous run's measurements (e.g. the CI gate diffing one
-		// measurement pass against two baselines).
-		data, err := os.ReadFile(*in)
+	ns := map[string]float64{}
+	for _, r := range runs {
+		args := []string{"test", "-run", "^$", "-bench", "^Benchmark(" + strings.Join(r.names, "|") + ")$",
+			"-benchtime", r.benchtime, "-count", "3", pkg}
+		fmt.Fprintf(os.Stderr, "benchjson: go %s\n", strings.Join(args, " "))
+		cmd := exec.Command("go", args...)
+		cmd.Stderr = os.Stderr
+		out, err := cmd.Output()
 		if err != nil {
-			fatalf("in: %v", err)
+			fatalf("go test: %v", err)
 		}
-		if err := json.Unmarshal(data, &rep); err != nil {
-			fatalf("in %s: %v", *in, err)
+		for _, name := range r.names {
+			if ns[name], err = bestNsPerOp(string(out), name); err != nil {
+				fatalf("%v", err)
+			}
 		}
-		if len(rep.Benchmarks) == 0 {
-			fatalf("in %s: no benchmarks — the gate would pass vacuously", *in)
-		}
-		ok := checkFractions(rep, fractions)
-		if *compare != "" && !compareAgainst(rep, *compare, *calibrate, *tolerance, gate) {
+	}
+	ok := true
+	for _, g := range gates {
+		small, big := ns[g.small], ns[g.big]
+		verdict := "ok"
+		if small > g.frac*big {
+			verdict = "FAILED"
 			ok = false
 		}
-		if !ok {
-			os.Exit(1)
-		}
-		return
-	}
-	run, err := restrictSuites(suites, splitNames(*only))
-	if err != nil {
-		fatalf("only: %v", err)
-	}
-	for _, s := range run {
-		bt := s.benchtime
-		if bt == "" {
-			bt = *benchtime
-		}
-		args := []string{"test", "-run", "^$", "-bench", s.pattern,
-			"-benchmem", "-benchtime", bt, "-count", strconv.Itoa(*count), s.pkg}
-		cmd := exec.Command("go", args...)
-		var buf bytes.Buffer
-		cmd.Stdout = &buf
-		cmd.Stderr = os.Stderr
-		fmt.Fprintf(os.Stderr, "benchjson: go %s\n", strings.Join(args, " "))
-		if err := cmd.Run(); err != nil {
-			fatalf("%s: %v", s.pkg, err)
-		}
-		if err := parseInto(rep.Benchmarks, buf.String()); err != nil {
-			fatalf("%s: %v", s.pkg, err)
-		}
-	}
-	if len(rep.Benchmarks) == 0 {
-		fatalf("no benchmark results parsed")
-	}
-	if *out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fatalf("marshal: %v", err)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fatalf("write %s: %v", *out, err)
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: wrote %s (%d benchmarks)\n", *out, len(rep.Benchmarks))
-	}
-	ok := checkFractions(rep, fractions)
-	if *compare != "" && !compareAgainst(rep, *compare, *calibrate, *tolerance, gate) {
-		ok = false
+		fmt.Printf("benchjson: %s (%.0f ns/op) ≤ %.2f × %s (%.0f ns/op): ratio %.4f — %s\n",
+			g.small, small, g.frac, g.big, big, small/big, verdict)
 	}
 	if !ok {
 		os.Exit(1)
 	}
 }
 
-// splitNames parses a comma list into a set, dropping empties.
-func splitNames(s string) map[string]bool {
-	out := map[string]bool{}
-	for _, n := range strings.Split(s, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			out[n] = true
-		}
-	}
-	return out
-}
-
-// suitePattern matches the fixed shape of the suite patterns above:
-// ^BenchmarkName$ or ^(BenchmarkA|BenchmarkB)$.
-func suiteBenchmarks(pattern string) []string {
-	inner := strings.TrimSuffix(strings.TrimPrefix(pattern, "^"), "$")
-	inner = strings.TrimSuffix(strings.TrimPrefix(inner, "("), ")")
-	return strings.Split(inner, "|")
-}
-
-// restrictSuites narrows the suite list to the -only selection, rewriting
-// each suite's pattern to just its selected benchmarks. Unknown names are
-// an error — a typo'd -only must not pass a narrower gate than intended.
-func restrictSuites(all []suite, only map[string]bool) ([]suite, error) {
-	if len(only) == 0 {
-		return all, nil
-	}
-	seen := map[string]bool{}
-	var out []suite
-	for _, s := range all {
-		var keep []string
-		for _, b := range suiteBenchmarks(s.pattern) {
-			name := strings.TrimPrefix(b, "Benchmark")
-			if only[name] {
-				keep = append(keep, b)
-				seen[name] = true
-			}
-		}
-		if len(keep) == 0 {
-			continue
-		}
-		s.pattern = "^(" + strings.Join(keep, "|") + ")$"
-		out = append(out, s)
-	}
-	for name := range only {
-		if !seen[name] {
-			return nil, fmt.Errorf("benchmark %q is not in the suite list", name)
-		}
-	}
-	return out, nil
-}
-
-// fractionCheck asserts one benchmark stays a small fraction of another in
-// the same measurement run (the scenario-dispatch gate).
-type fractionCheck struct {
-	small, big string
-	frac       float64
-}
-
-// parseFractions parses "small=big:frac,...".
-func parseFractions(s string) ([]fractionCheck, error) {
-	var out []fractionCheck
-	for _, item := range strings.Split(s, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		small, rest, ok := strings.Cut(item, "=")
-		big, fracStr, ok2 := strings.Cut(rest, ":")
-		if !ok || !ok2 || small == "" || big == "" {
-			return nil, fmt.Errorf("bad -fraction %q (want small=big:frac)", item)
-		}
-		// frac may exceed 1: near-equality gates (e.g. StoreHit within 10%
-		// of MemoHit, frac 1.10) use the same mechanism as small-fraction
-		// gates.
-		frac, err := strconv.ParseFloat(fracStr, 64)
-		if err != nil || frac <= 0 {
-			return nil, fmt.Errorf("bad -fraction %q: frac must be > 0", item)
-		}
-		out = append(out, fractionCheck{small: small, big: big, frac: frac})
-	}
-	return out, nil
-}
-
-// checkFractions applies the -fraction assertions to one run's
-// measurements. Both names must be present — a renamed or dropped
-// benchmark fails the gate instead of silently vacating it.
-func checkFractions(rep Report, checks []fractionCheck) bool {
-	ok := true
-	for _, c := range checks {
-		small, haveSmall := rep.Benchmarks[c.small]
-		big, haveBig := rep.Benchmarks[c.big]
-		switch {
-		case !haveSmall || !haveBig:
-			fmt.Printf("benchjson: fraction %s=%s:%.2f — benchmark missing from measurements (have %s) — failing\n",
-				c.small, c.big, c.frac, strings.Join(sortedNames(rep.Benchmarks), ", "))
-			ok = false
-		case big.NsPerOp <= 0 || small.NsPerOp > c.frac*big.NsPerOp:
-			fmt.Printf("benchjson: fraction gate %s (%.0f ns/op) > %.0f%% of %s (%.0f ns/op) — failing\n",
-				c.small, small.NsPerOp, c.frac*100, c.big, big.NsPerOp)
-			ok = false
-		default:
-			fmt.Printf("benchjson: fraction gate %s (%.0f ns/op) ≤ %.0f%% of %s (%.0f ns/op) — ok (%.3f%%)\n",
-				c.small, small.NsPerOp, c.frac*100, c.big, big.NsPerOp, 100*small.NsPerOp/big.NsPerOp)
-		}
-	}
-	return ok
-}
-
-// sortedNames lists a measurement map's keys, sorted.
-func sortedNames(m map[string]Result) []string {
-	out := make([]string, 0, len(m))
-	for name := range m {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// compareAgainst diffs this run's ns/op against a committed baseline file
-// and reports whether the run is acceptable: every benchmark present in
-// both must stay within (1 + tolerance) × baseline ns/op, after dividing
-// out the machine-speed factor. The baseline was captured on one specific
-// machine while CI runners vary widely in single-core speed, so absolute
-// ns/op comparisons would gate on hardware, not code.
-//
-// The factor comes from the calibration file when given: a baseline
-// captured from the *same code* (the freshest committed BENCH_*.json), so
-// the now/calibration ratios measure machine speed alone, uncontaminated
-// by code improvements since an older baseline. Without a calibration
-// file the factor falls back to the now/base ratios of the comparison
-// itself — correct when the baseline is same-code, but unable to tell a
-// slow runner from non-uniform code speedups against a stale baseline.
-// Either way the factor is the lower-quartile ratio clamped to at least
-// 1: a uniform slowdown (a slower runner) moves the quartile and is
-// absorbed, a genuine regression — even one hitting half the suite —
-// leaves the quartile anchored at the unregressed benchmarks and still
-// fails, and the clamp keeps code-side wins from inflating the bar. With
-// fewer than three shared benchmarks there is no pack to infer speed
-// from and raw ratios are used. Benchmarks present on one side only are
-// listed informationally and never fail the gate.
-//
-// When gate is non-empty, only the named benchmarks can fail the run —
-// the rest are still printed for context — and a gated name missing from
-// either side fails loudly instead of vacating the gate.
-func compareAgainst(rep Report, path, calibratePath string, tolerance float64, gate map[string]bool) bool {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fatalf("compare: %v", err)
-	}
-	var base Report
-	if err := json.Unmarshal(data, &base); err != nil {
-		fatalf("compare %s: %v", path, err)
-	}
-	calib := &base
-	if calibratePath != "" {
-		data, err := os.ReadFile(calibratePath)
-		if err != nil {
-			fatalf("calibrate: %v", err)
-		}
-		var c Report
-		if err := json.Unmarshal(data, &c); err != nil {
-			fatalf("calibrate %s: %v", calibratePath, err)
-		}
-		calib = &c
-	}
-	names := make([]string, 0, len(rep.Benchmarks))
-	var ratios []float64
-	for name := range rep.Benchmarks {
-		names = append(names, name)
-		if ref, inCalib := calib.Benchmarks[name]; inCalib && ref.NsPerOp > 0 {
-			ratios = append(ratios, rep.Benchmarks[name].NsPerOp/ref.NsPerOp)
-		}
-	}
-	sort.Strings(names)
-	scale := 1.0
-	if len(ratios) >= 3 {
-		sort.Float64s(ratios)
-		if q := ratios[len(ratios)/4]; q > 1 {
-			scale = q
-		}
-	}
-	ok := true
-	fmt.Printf("benchjson: comparing against %s (tolerance +%.0f%% ns/op, machine factor %.2fx)\n",
-		path, tolerance*100, scale)
-	fmt.Printf("%-24s %14s %14s %8s\n", "benchmark", "base ns/op", "now ns/op", "delta")
-	for _, name := range names {
-		now := rep.Benchmarks[name]
-		old, inBase := base.Benchmarks[name]
-		if !inBase {
-			fmt.Printf("%-24s %14s %14.1f %8s\n", name, "-", now.NsPerOp, "new")
-			continue
-		}
-		delta := now.NsPerOp/old.NsPerOp - 1
-		verdict := fmt.Sprintf("%+.1f%%", delta*100)
-		if now.NsPerOp/old.NsPerOp > scale*(1+tolerance) {
-			if len(gate) == 0 || gate[name] {
-				verdict += " REGRESSION"
-				ok = false
-			} else {
-				verdict += " (ungated)"
-			}
-		}
-		fmt.Printf("%-24s %14.1f %14.1f %8s\n", name, old.NsPerOp, now.NsPerOp, verdict)
-	}
-	for name := range base.Benchmarks {
-		if _, stillRun := rep.Benchmarks[name]; !stillRun {
-			fmt.Printf("%-24s (baseline only; not run)\n", name)
-		}
-	}
-	for name := range gate {
-		_, inNow := rep.Benchmarks[name]
-		_, inBase := base.Benchmarks[name]
-		if !inNow || !inBase {
-			fmt.Printf("benchjson: -gate %s missing from %s — failing\n",
-				name, map[bool]string{true: "the baseline", false: "this run's measurements"}[inNow])
-			ok = false
-		}
-	}
-	if !ok {
-		fmt.Printf("benchjson: ns/op regression beyond +%.0f%% — failing\n", tolerance*100)
-	}
-	return ok
-}
-
-// parseInto extracts every benchmark line of one `go test -bench` output.
-// Multiple -count runs of the same benchmark keep the best (lowest ns/op)
-// run, the usual noise-rejection rule for before/after comparisons.
-func parseInto(into map[string]Result, output string) error {
-	found := 0
+// bestNsPerOp returns the lowest ns/op among name's lines in one
+// `go test -bench` output, the usual noise-rejection rule across -count
+// runs. A name with no line is an error, so a renamed or deleted
+// benchmark fails the gate instead of vacating it.
+func bestNsPerOp(output, name string) (float64, error) {
+	best, found := 0.0, false
 	for _, line := range strings.Split(output, "\n") {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
-		if m == nil {
+		if m == nil || m[1] != name {
 			continue
 		}
-		name := strings.TrimPrefix(m[1], "Benchmark")
-		ns, err := strconv.ParseFloat(m[2], 64)
+		v, err := strconv.ParseFloat(m[2], 64)
 		if err != nil {
-			return fmt.Errorf("bad ns/op in %q: %v", line, err)
+			return 0, fmt.Errorf("%s: bad ns/op in %q: %v", name, line, err)
 		}
-		r := Result{NsPerOp: ns}
-		if m[3] != "" {
-			r.BPerOp, _ = strconv.ParseInt(m[3], 10, 64)
-			r.AllocsPerOp, _ = strconv.ParseInt(m[4], 10, 64)
+		if !found || v < best {
+			best, found = v, true
 		}
-		if prev, ok := into[name]; !ok || r.NsPerOp < prev.NsPerOp {
-			into[name] = r
-		}
-		found++
 	}
-	if found == 0 {
-		return fmt.Errorf("no benchmark lines in output:\n%s", output)
+	if !found {
+		return 0, fmt.Errorf("benchmark %s missing from the output of %s", name, pkg)
 	}
-	return nil
+	return best, nil
 }
 
 func fatalf(format string, args ...any) {

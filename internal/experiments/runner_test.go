@@ -193,9 +193,9 @@ func BenchmarkQuickFig3Serial(b *testing.B) {
 // defaulting, validation, per-cell workload resolution (JSON overlay
 // included) and the spec fingerprint. The trials themselves are identical
 // either way (RunFigN is RunRegistered now), so this — not a second full
-// figure run — is the dispatch overhead. The CI gate asserts it stays
-// under 5% of the same-run QuickFig3Serial figure time (benchjson
-// -fraction), which both proves the "<5% dispatch tax" claim structurally
+// figure run — is the dispatch overhead. internal/devtools/benchjson
+// (a CI step) asserts it stays under 5% of the same-run QuickFig3Serial
+// figure time, which both proves the "<5% dispatch tax" claim structurally
 // and catches anyone later making scenario interpretation expensive.
 func BenchmarkScenarioDispatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {

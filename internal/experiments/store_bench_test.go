@@ -25,8 +25,8 @@ func BenchmarkMemoHit(b *testing.B) {
 // goroutines hammering Get on a warm store through the TrialStore
 // interface, each walking its own slice of a shared hot key set — the
 // shape of the serving daemon's warm path. With the sharded memo the
-// per-op cost must stay close to the serial BenchmarkMemoHit (CI gates
-// MemoHitParallel=MemoHit:1.50); the pre-shard single-RWMutex table
+// per-op cost must stay within 1.5x of the serial BenchmarkMemoHit (a CI
+// step, internal/devtools/benchjson); the pre-shard single-RWMutex table
 // serialized here and regressed multiple-fold on multi-core runners.
 func BenchmarkMemoHitParallel(b *testing.B) {
 	var st TrialStore = NewTrialMemo()
@@ -52,8 +52,8 @@ func BenchmarkMemoHitParallel(b *testing.B) {
 // runner machinery — grid derivation, seed substreams, store lookups,
 // aggregation, rendering-side stats — with zero simulations. This per-grid
 // cost, times shards, is what bounds how fast a million-trial sweep
-// reassembles from warm stores; the CI gate tracks it against the
-// committed baseline so replay stays orders of magnitude under cold runs.
+// reassembles from warm stores. The benchmark's replay-warm workload
+// measures the same path end to end.
 func BenchmarkMillionTrialReplay(b *testing.B) {
 	cfg := Config{Quick: true, Reps: 2, Seed: 1234, Workers: 1, Memo: NewTrialMemo()}
 	if _, err := RunFig3(cfg); err != nil {
@@ -70,9 +70,8 @@ func BenchmarkMillionTrialReplay(b *testing.B) {
 
 // BenchmarkStoreHit measures the warm-hit path of the disk-backed store: a
 // Get whose record was loaded from a segment at open. CI holds it within
-// 10% of BenchmarkMemoHit in the same run (benchjson -fraction
-// StoreHit=MemoHit:1.10) — the durable tier must stay an open-time cost,
-// never a per-hit one.
+// 10% of BenchmarkMemoHit in the same run (internal/devtools/benchjson) —
+// the durable tier must stay an open-time cost, never a per-hit one.
 func BenchmarkStoreHit(b *testing.B) {
 	dir := b.TempDir()
 	st, err := OpenTrialStore(dir)

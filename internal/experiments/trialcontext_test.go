@@ -125,33 +125,56 @@ func TestFigAllQuickNoReuseMatchesGolden(t *testing.T) {
 }
 
 // TestDeployStatsCountReuse: a serial quick figure builds each distinct
-// (host, stack, size) shape once and rewinds it for every further trial.
+// machine shape once and rewinds it for every further trial, so the
+// counts are exact. A worker's pool keys arenas by the innermost machine:
+// the BM and CN series run on the host itself at every size, and each
+// guest shape (vm or vmcn, by vCPUs) keeps one arena that its vanilla and
+// pinned series share. DeployStats is process-global, and no test in this
+// package runs in parallel, so the deltas below are this test's alone.
 func TestDeployStatsCountReuse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a quick figure")
 	}
+	const reps = 2
+	sc, ok := ScenarioByName("fig3")
+	if !ok {
+		t.Fatal("fig3 not registered")
+	}
+	type shape struct {
+		host, guest string
+		vcpus       int
+	}
+	shapes := map[shape]bool{}
+	for _, se := range sc.Series {
+		for _, c := range sc.Cells {
+			switch se.Platform.Kind {
+			case platform.VM:
+				shapes[shape{c.Host, "vm", c.Cores}] = true
+			case platform.VMCN:
+				shapes[shape{c.Host, "vmcn", c.Cores}] = true
+			default:
+				shapes[shape{host: c.Host}] = true
+			}
+		}
+	}
+	trials := uint64(len(sc.Series) * len(sc.Cells) * reps)
+	wantBuilt := uint64(len(shapes))
+
 	b0, r0 := DeployStats()
-	if _, err := RunFig3(Config{Seed: 7, Quick: true, Reps: 2, Workers: 1}); err != nil {
+	if _, err := RunFig3(Config{Seed: 7, Quick: true, Reps: reps, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
-	built, reused := DeployStats()
-	built, reused = built-b0, reused-r0
-	if built == 0 || reused == 0 {
-		t.Fatalf("built %d, reused %d — expected both paths to run", built, reused)
+	b1, r1 := DeployStats()
+	if built, reused := b1-b0, r1-r0; built != wantBuilt || reused != trials-wantBuilt {
+		t.Fatalf("built %d, reused %d; want %d built (one per machine shape) and %d reused of %d trials",
+			built, reused, wantBuilt, trials-wantBuilt, trials)
 	}
-	if reused < built {
-		t.Fatalf("built %d > reused %d: repetitions are not reusing their shape's arena", built, reused)
-	}
-	nr0, _ := DeployStats()
-	if _, err := RunFig3(Config{Seed: 7, Quick: true, Reps: 2, Executor: buildFresh{workers: 1}}); err != nil {
+	if _, err := RunFig3(Config{Seed: 7, Quick: true, Reps: reps, Executor: buildFresh{workers: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	nrBuilt, nrReused := DeployStats()
-	if nrReused != reused+r0 {
-		t.Fatalf("build-fresh run reused %d deployments, want 0", nrReused-reused-r0)
-	}
-	if nrBuilt == nr0 {
-		t.Fatal("build-fresh run built nothing")
+	b2, r2 := DeployStats()
+	if built, reused := b2-b1, r2-r1; built != trials || reused != 0 {
+		t.Fatalf("build-fresh run built %d, reused %d; want %d built, 0 reused", built, reused, trials)
 	}
 }
 

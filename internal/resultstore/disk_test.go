@@ -212,8 +212,8 @@ func TestPutBatchEmptyAndMismatched(t *testing.T) {
 
 // BenchmarkStoreAppendBatch is the group-commit throughput figure: one
 // 64-record PutBatch per iteration — one lock, one buffer, one write
-// syscall — against a disk-backed store. The benchjson suite tracks it so
-// the batched path cannot quietly decay back toward per-record costs.
+// syscall — against a disk-backed store: the per-record cost of the
+// batched path, which the benchmark's sweep-cold workload pays per pass.
 func BenchmarkStoreAppendBatch(b *testing.B) {
 	var warn bytes.Buffer
 	d, err := Open[uint64](b.TempDir(), u64Codec{}, WithWarnWriter(&warn))

@@ -207,18 +207,22 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
+// badRequests are /run bodies that must 400; FuzzRunRequest seeds its
+// corpus with them too.
+var badRequests = []struct{ name, body string }{
+	{"empty", `{}`},
+	{"both", `{"name":"fig3","scenario":{"name":"x"}}`},
+	{"unknown field", `{"name":"fig3","bogus":1}`},
+	{"unknown scenario", `{"name":"no-such-fig"}`},
+	{"negative reps", `{"name":"fig3","reps":-1}`},
+	{"invalid cells", `{"name":"fig3","cells":[{"label":"bad","cores":0}]}`},
+}
+
 // TestBadRequests: structural failures 400 before simulating; unknown
 // scenario names 400 on the cold path.
 func TestBadRequests(t *testing.T) {
 	s := newTestServer(t, Options{})
-	for _, tc := range []struct{ name, body string }{
-		{"empty", `{}`},
-		{"both", `{"name":"fig3","scenario":{"name":"x"}}`},
-		{"unknown field", `{"name":"fig3","bogus":1}`},
-		{"unknown scenario", `{"name":"no-such-fig"}`},
-		{"negative reps", `{"name":"fig3","reps":-1}`},
-		{"invalid cells", `{"name":"fig3","cells":[{"label":"bad","cores":0}]}`},
-	} {
+	for _, tc := range badRequests {
 		if w := post(t, s, tc.body); w.Code != http.StatusBadRequest {
 			t.Errorf("%s: %d, want 400 (%s)", tc.name, w.Code, w.Body.String())
 		}
