@@ -223,20 +223,23 @@ func seedFor(base uint64, parts ...uint64) uint64 {
 // runStack deploys a stack on host — through the worker's reuse arena when
 // one is threaded in — spawns each tenant's workload and runs the machine
 // to completion, returning the workload metric in seconds (the mean across
-// tenants for multi-tenant stacks) and the machine's overhead breakdown.
-func runStack(tc *TrialContext, cfg Config, host *topology.Topology, stack platform.Stack, size int, ws []workload.Workload, memGB int, seed uint64) (float64, sched.Breakdown, error) {
-	d, err := tc.deploy(cfg, host, stack, size, seed)
+// tenants for multi-tenant stacks) with the machine's overhead breakdown.
+// seedFree reports that the run drew nothing from the machine's RNG, so
+// the result is the same for every seed (see simulateOrShare).
+func runStack(tc *TrialContext, cfg Config, in trialInput) (r TrialResult, seedFree bool, err error) {
+	d, err := tc.deploy(cfg, in.host, in.stack, in.size, in.seed)
 	if err != nil {
-		return 0, sched.Breakdown{}, err
+		return TrialResult{}, false, err
 	}
 	// ws is either one shared workload for every tenant, or exactly one per
-	// tenant slot; RunScenario pads per-tenant lists to the tenant count,
+	// tenant slot; planScenario pads per-tenant lists to the tenant count,
 	// and this boundary enforces the invariant rather than trusting it.
+	ws := in.ws
 	if len(ws) == 0 {
-		return 0, sched.Breakdown{}, fmt.Errorf("experiments: trial has no workloads")
+		return TrialResult{}, false, fmt.Errorf("experiments: trial has no workloads")
 	}
 	if len(ws) > 1 && len(ws) != len(d.Tenants) {
-		return 0, sched.Breakdown{}, fmt.Errorf("experiments: %d workloads for %d tenant slot(s)",
+		return TrialResult{}, false, fmt.Errorf("experiments: %d workloads for %d tenant slot(s)",
 			len(ws), len(d.Tenants))
 	}
 	// The context's buffer keeps the per-trial instance list allocation-free
@@ -244,8 +247,8 @@ func runStack(tc *TrialContext, cfg Config, host *topology.Topology, stack platf
 	insts := tc.instances(len(d.Tenants))
 	for ti, slot := range d.Tenants {
 		env := workload.EnvFor(d.M, slot.Group, slot.Affinity, slot.Cores)
-		if memGB > 0 {
-			env.MemGB = memGB
+		if in.memGB > 0 {
+			env.MemGB = in.memGB
 		}
 		w := ws[0]
 		if len(ws) > 1 {
@@ -254,14 +257,17 @@ func runStack(tc *TrialContext, cfg Config, host *topology.Topology, stack platf
 		insts[ti] = w.Spawn(env)
 	}
 	res := d.M.Run(cfg.TimeLimit)
+	r.Breakdown = res.Breakdown
 	if res.TimedOut {
-		return cfg.TimeLimit.Seconds(), res.Breakdown, nil
+		r.Metric = cfg.TimeLimit.Seconds()
+	} else {
+		var sum float64
+		for _, inst := range insts {
+			sum += inst.Metric(res)
+		}
+		r.Metric = sum / float64(len(insts))
 	}
-	var sum float64
-	for _, inst := range insts {
-		sum += inst.Metric(res)
-	}
-	return sum / float64(len(insts)), res.Breakdown, nil
+	return r, d.M.RNG.Draws() == 0, nil
 }
 
 // computeRatios fills per-cell overhead ratios against the BM series and

@@ -10,8 +10,19 @@ package experiments
 // this process or any other — already simulated. Results are always
 // written to index-addressed slots, so the assembled figure is
 // bit-identical no matter how trials were scheduled, sharded or cached.
+//
+// Purity also licenses one shortcut inside a single experiment call: a
+// trial whose run drew no random number is a pure function of everything
+// but its seed, so every repetition of its cell has the same result. The
+// first such repetition to finish publishes it, and the cell's later
+// repetitions return it instead of simulating (simulateOrShare). Each of
+// them still passes through the store under its own per-seed key, so the
+// store sees exactly the trials it would have seen otherwise, and which
+// worker simulated first cannot change a byte of the output.
 
 import (
+	"sync/atomic"
+
 	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/topology"
@@ -39,20 +50,56 @@ func forEachTrial(cfg Config, n int, run func(tc *TrialContext, i int) error) er
 	return ex.Execute(n, run, cfg.Progress)
 }
 
+// trialInput is one trial's inputs besides the run-wide Config: the host it
+// deploys onto, the platform stack and instance size, the workloads (one
+// for every tenant, or exactly one per tenant), the memory size and the
+// seed.
+type trialInput struct {
+	host  *topology.Topology
+	stack platform.Stack
+	size  int
+	ws    []workload.Workload
+	memGB int
+	seed  uint64
+}
+
 // runTrial is runStack behind the trial store: on a hit the simulation is
 // skipped entirely and the stored result replayed — from memory within a
-// process, from disk across processes when the store is durable.
-func runTrial(tc *TrialContext, cfg Config, host *topology.Topology, stack platform.Stack, size int, ws []workload.Workload, memGB int, seed uint64) (TrialResult, error) {
+// process, from disk across processes when the store is durable. A miss
+// goes to simulateOrShare with the cell's seed-free slot.
+func runTrial(tc *TrialContext, cfg Config, slot *atomic.Pointer[TrialResult], in trialInput) (TrialResult, error) {
 	if cfg.Memo == nil {
-		v, bd, err := runStack(tc, cfg, host, stack, size, ws, memGB, seed)
-		return TrialResult{Metric: v, Breakdown: bd}, err
+		return simulateOrShare(tc, cfg, slot, in)
 	}
-	key := trialKey(cfg, host, stack, size, ws, memGB, seed)
+	key := trialKey(cfg, in.host, in.stack, in.size, in.ws, in.memGB, in.seed)
 	return cfg.Memo.GetOrCompute(key, func() (TrialResult, error) {
-		v, bd, err := runStack(tc, cfg, host, stack, size, ws, memGB, seed)
-		if err != nil {
-			return TrialResult{}, err
-		}
-		return TrialResult{Metric: v, Breakdown: bd}, nil
+		return simulateOrShare(tc, cfg, slot, in)
 	})
+}
+
+// simulateOrShare answers one repetition of a cell. slot is the cell's
+// seed-free result for the length of one experiment call: the first
+// repetition whose run drew no random number publishes its result there,
+// and every later repetition of the cell returns it without deploying or
+// simulating. That is exact, not approximate. The trial seed reaches a
+// simulation only through the machine's RNG (machine.Config.Seed →
+// RNG.Reseed; the host defaults, the layer fold and the guest overlay only
+// copy it), so a run that never read its RNG took the same path, and
+// produced the same Metric and Breakdown, that it would have under any
+// other seed. Only successful runs publish; a timed-out run is
+// deterministic too, so it may.
+func simulateOrShare(tc *TrialContext, cfg Config, slot *atomic.Pointer[TrialResult], in trialInput) (TrialResult, error) {
+	if r := slot.Load(); r != nil {
+		trialsShared.Add(1)
+		return *r, nil
+	}
+	r, seedFree, err := runStack(tc, cfg, in)
+	if err != nil {
+		return TrialResult{}, err
+	}
+	if seedFree {
+		published := r
+		slot.CompareAndSwap(nil, &published)
+	}
+	return r, nil
 }

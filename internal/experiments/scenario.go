@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/platform"
@@ -342,29 +343,47 @@ func (s Scenario) MarshalIndentJSON() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
 }
 
-// RunScenario executes a scenario: its (series × cells × reps) grid fans
-// out across Config.Workers with per-trial substream seeds derived from
-// SeedTag and grid coordinates alone, so output is bit-identical at any
-// worker count, and Config.Memo skips trials an earlier run simulated.
-func RunScenario(cfg Config, sc Scenario) (Figure, error) {
-	cfg = cfg.withDefaults()
-	sc = sc.withDefaults()
-	if err := sc.Validate(); err != nil {
-		return Figure{}, err
-	}
-	reps := cfg.reps(sc.Reps)
+// scenarioGrid is a scenario resolved against one Config: every trial's
+// inputs, addressed by grid index i = (series·cells + cell)·reps + rep.
+type scenarioGrid struct {
+	reps, nC int
+	cells    []scenarioCell        // per cell
+	stacks   []platform.Stack      // per series
+	wlists   [][]workload.Workload // per (series, cell)
+	seeds    []uint64              // per trial
+}
 
-	// Resolve every cell's host and workload once, up front.
-	type cellPlan struct {
-		host  *topology.Topology
-		memGB int
-		w     workload.Workload
+// scenarioCell is one cell's resolved host, size and workload.
+type scenarioCell struct {
+	host         *topology.Topology
+	cores, memGB int
+	w            workload.Workload
+}
+
+// input returns trial i's inputs.
+func (g *scenarioGrid) input(i int) trialInput {
+	si, ci := i/(g.nC*g.reps), i/g.reps%g.nC
+	c := &g.cells[ci]
+	return trialInput{c.host, g.stacks[si], c.cores, g.wlists[si*g.nC+ci], c.memGB, g.seeds[i]}
+}
+
+// planScenario resolves every cell's host and workload, every series'
+// stack and tenant workloads and every trial's seed once, up front, so
+// the per-trial closure allocates nothing. cfg and sc carry their
+// defaults.
+func planScenario(cfg Config, sc Scenario) (*scenarioGrid, error) {
+	nC := len(sc.Cells)
+	g := &scenarioGrid{
+		reps:   cfg.reps(sc.Reps),
+		nC:     nC,
+		cells:  make([]scenarioCell, nC),
+		stacks: make([]platform.Stack, len(sc.Series)),
+		wlists: make([][]workload.Workload, len(sc.Series)*nC),
 	}
-	plans := make([]cellPlan, len(sc.Cells))
 	for ci, c := range sc.Cells {
 		host, err := HostByName(c.Host)
 		if err != nil {
-			return Figure{}, err
+			return nil, err
 		}
 		if host == nil {
 			host = cfg.Host
@@ -375,40 +394,64 @@ func RunScenario(cfg Config, sc Scenario) (Figure, error) {
 		}
 		w, err := ws.Resolve(cfg.Quick)
 		if err != nil {
-			return Figure{}, err
+			return nil, err
 		}
-		plans[ci] = cellPlan{host: host, memGB: c.MemGB, w: w}
+		g.cells[ci] = scenarioCell{host: host, cores: c.Cores, memGB: c.MemGB, w: w}
 	}
-	// Per-series resolved stacks and tenant workload overrides.
-	stacks := make([]platform.Stack, len(sc.Series))
-	tenantWs := make([][]workload.Workload, len(sc.Series))
 	for si, se := range sc.Series {
-		stacks[si] = se.stack()
+		g.stacks[si] = se.stack()
+		var tenantWs []workload.Workload
 		for _, tw := range se.TenantWorkloads {
 			w, err := tw.Resolve(cfg.Quick)
 			if err != nil {
-				return Figure{}, err
+				return nil, err
 			}
-			tenantWs[si] = append(tenantWs[si], w)
+			tenantWs = append(tenantWs, w)
 		}
-	}
-	// workloadsFor assembles the per-tenant workload list of one trial:
-	// tenant overrides by position, the cell workload for the rest.
-	workloadsFor := func(si, ci int) []workload.Workload {
-		n := len(stacks[si].Tenants)
+		// The per-tenant workload list of a trial: tenant overrides by
+		// position, the cell workload for the rest.
+		n := len(g.stacks[si].Tenants)
 		if n == 0 {
 			n = 1
 		}
-		out := make([]workload.Workload, n)
-		for t := 0; t < n; t++ {
-			if t < len(tenantWs[si]) {
-				out[t] = tenantWs[si][t]
-			} else {
-				out[t] = plans[ci].w
+		for ci := range sc.Cells {
+			out := make([]workload.Workload, n)
+			for t := range out {
+				if t < len(tenantWs) {
+					out[t] = tenantWs[t]
+				} else {
+					out[t] = g.cells[ci].w
+				}
 			}
+			g.wlists[si*nC+ci] = out
 		}
-		return out
 	}
+	g.seeds = make([]uint64, len(sc.Series)*nC*g.reps)
+	parts := make([]uint64, 0, len(sc.SeedTag)+3)
+	for i := range g.seeds {
+		si, ci, rep := i/(nC*g.reps), i/g.reps%nC, i%g.reps
+		parts = append(parts[:0], sc.SeedTag...)
+		parts = append(parts, uint64(si), uint64(ci), uint64(rep))
+		g.seeds[i] = seedFor(cfg.Seed, parts...)
+	}
+	return g, nil
+}
+
+// RunScenario executes a scenario: its (series × cells × reps) grid fans
+// out across Config.Workers with per-trial substream seeds derived from
+// SeedTag and grid coordinates alone, so output is bit-identical at any
+// worker count, and Config.Memo skips trials an earlier run simulated.
+func RunScenario(cfg Config, sc Scenario) (Figure, error) {
+	cfg = cfg.withDefaults()
+	sc = sc.withDefaults()
+	if err := sc.Validate(); err != nil {
+		return Figure{}, err
+	}
+	g, err := planScenario(cfg, sc)
+	if err != nil {
+		return Figure{}, err
+	}
+	reps, nC := g.reps, g.nC
 
 	fig := Figure{
 		ID:          sc.ID,
@@ -426,30 +469,13 @@ func RunScenario(cfg Config, sc Scenario) (Figure, error) {
 		}
 	}
 
-	nC := len(sc.Cells)
-	results := make([]TrialResult, len(sc.Series)*nC*reps)
-	// Tenant workload lists depend only on (series, cell) and seeds are a
-	// pure derivation, so both are precomputed outside the trial fan-out:
-	// the per-trial closure itself then allocates nothing.
-	wlists := make([][]workload.Workload, len(sc.Series)*nC)
-	for si := range sc.Series {
-		for ci := range sc.Cells {
-			wlists[si*nC+ci] = workloadsFor(si, ci)
-		}
-	}
-	seeds := make([]uint64, len(results))
-	parts := make([]uint64, 0, len(sc.SeedTag)+3)
-	for i := range seeds {
-		si, ci, rep := i/(nC*reps), i/reps%nC, i%reps
-		parts = append(parts[:0], sc.SeedTag...)
-		parts = append(parts, uint64(si), uint64(ci), uint64(rep))
-		seeds[i] = seedFor(cfg.Seed, parts...)
-	}
-	err := forEachTrial(cfg, len(results), func(tc *TrialContext, i int) error {
-		si, ci := i/(nC*reps), i/reps%nC
-		r, err := runTrial(tc, cfg, plans[ci].host, stacks[si], sc.Cells[ci].Cores,
-			wlists[si*nC+ci], plans[ci].memGB, seeds[i])
+	results := make([]TrialResult, len(g.seeds))
+	// One seed-free slot per (series, cell) for the length of this call.
+	shared := make([]atomic.Pointer[TrialResult], len(g.wlists))
+	err = forEachTrial(cfg, len(results), func(tc *TrialContext, i int) error {
+		r, err := runTrial(tc, cfg, &shared[i/reps], g.input(i))
 		if err != nil {
+			si, ci := i/(nC*reps), i/reps%nC
 			return fmt.Errorf("%s %s %s: %w", sc.Name, sc.Series[si].Label, sc.Cells[ci].Label, err)
 		}
 		results[i] = r

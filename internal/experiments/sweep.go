@@ -16,6 +16,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/platform"
 	"repro/internal/sched"
@@ -187,6 +188,7 @@ func Sweep(cfg Config, spec SweepSpec) (*SweepResult, error) {
 
 	reps := spec.Reps
 	results := make([]TrialResult, len(plan)*reps)
+	shared := make([]atomic.Pointer[TrialResult], len(plan)) // per cell, this call only
 	err := forEachTrial(cfg, len(results), func(tc *TrialContext, i int) error {
 		pc, rep := plan[i/reps], i%reps
 		// Content-derived seed: a cell draws the same substream in every
@@ -195,8 +197,8 @@ func Sweep(cfg Config, spec SweepSpec) (*SweepResult, error) {
 			uint64(pc.cell.Spec.Kind), uint64(pc.cell.Spec.Mode),
 			uint64(pc.cell.Cores), uint64(pc.cell.MemGB),
 			workloadTag(pc.cell.Workload), uint64(rep))
-		r, err := runTrial(tc, cfg, cfg.Host, pc.cell.Spec.Stack(), pc.cell.Cores,
-			[]workload.Workload{pc.w}, pc.cell.MemGB, seed)
+		r, err := runTrial(tc, cfg, &shared[i/reps], trialInput{cfg.Host, pc.cell.Spec.Stack(), pc.cell.Cores,
+			[]workload.Workload{pc.w}, pc.cell.MemGB, seed})
 		if err != nil {
 			return fmt.Errorf("sweep %s %s %dc/%dGB: %w",
 				pc.cell.Platform, pc.cell.Workload, pc.cell.Cores, pc.cell.MemGB, err)

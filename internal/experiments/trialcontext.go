@@ -37,6 +37,9 @@ type TrialContext struct {
 var (
 	deploysBuilt  atomic.Uint64
 	deploysReused atomic.Uint64
+	// trialsShared counts repetitions answered from their cell's seed-free
+	// slot (simulateOrShare): store misses that simulated nothing.
+	trialsShared atomic.Uint64
 )
 
 // DeployStats reports how many trial deployments were built from scratch
@@ -45,6 +48,10 @@ var (
 func DeployStats() (built, reused uint64) {
 	return deploysBuilt.Load(), deploysReused.Load()
 }
+
+// SharedRepetitions reports how many trials since process start returned
+// their cell's seed-free result instead of deploying and simulating.
+func SharedRepetitions() uint64 { return trialsShared.Load() }
 
 // hostConfig is the host machine configuration one trial deploys onto:
 // the calibrated defaults with the run's ablations applied.

@@ -125,12 +125,15 @@ func TestFigAllQuickNoReuseMatchesGolden(t *testing.T) {
 }
 
 // TestDeployStatsCountReuse: a serial quick figure builds each distinct
-// machine shape once and rewinds it for every further trial, so the
-// counts are exact. A worker's pool keys arenas by the innermost machine:
-// the BM and CN series run on the host itself at every size, and each
-// guest shape (vm or vmcn, by vCPUs) keeps one arena that its vanilla and
-// pinned series share. DeployStats is process-global, and no test in this
-// package runs in parallel, so the deltas below are this test's alone.
+// machine shape once and rewinds it for every further simulated trial, so
+// the counts are exact. A worker's pool keys arenas by the innermost
+// machine: the BM and CN series run on the host itself at every size, and
+// each guest shape (vm or vmcn, by vCPUs) keeps one arena that its vanilla
+// and pinned series share. Only simulated trials deploy: a seed-free
+// cell's later repetitions share its result (simulatedTrials). Every cell
+// simulates its first repetition, so every shape is still built.
+// DeployStats is process-global, and no test in this package runs in
+// parallel, so the deltas below are this test's alone.
 func TestDeployStatsCountReuse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a quick figure")
@@ -157,19 +160,22 @@ func TestDeployStatsCountReuse(t *testing.T) {
 			}
 		}
 	}
-	trials := uint64(len(sc.Series) * len(sc.Cells) * reps)
+	cfg := Config{Seed: 7, Quick: true, Reps: reps}
+	trials, _ := simulatedTrials(t, cfg, sc)
 	wantBuilt := uint64(len(shapes))
 
 	b0, r0 := DeployStats()
-	if _, err := RunFig3(Config{Seed: 7, Quick: true, Reps: reps, Workers: 1}); err != nil {
+	cfg.Workers = 1
+	if _, err := RunFig3(cfg); err != nil {
 		t.Fatal(err)
 	}
 	b1, r1 := DeployStats()
 	if built, reused := b1-b0, r1-r0; built != wantBuilt || reused != trials-wantBuilt {
-		t.Fatalf("built %d, reused %d; want %d built (one per machine shape) and %d reused of %d trials",
+		t.Fatalf("built %d, reused %d; want %d built (one per machine shape) and %d reused of %d simulated trials",
 			built, reused, wantBuilt, trials-wantBuilt, trials)
 	}
-	if _, err := RunFig3(Config{Seed: 7, Quick: true, Reps: reps, Executor: buildFresh{workers: 1}}); err != nil {
+	cfg.Executor = buildFresh{workers: 1}
+	if _, err := RunFig3(cfg); err != nil {
 		t.Fatal(err)
 	}
 	b2, r2 := DeployStats()

@@ -54,12 +54,26 @@ func MergeTrialStores(dst TrialStore, dirs ...string) error {
 }
 
 // StoreStatsLine renders one store's counters for the CLIs' -v output.
-// The "misses" count is exactly the number of simulations the run had to
-// execute (every trial consults the store before simulating).
+// Every trial consults the store before simulating, so each simulation is
+// a miss; a miss answered from its cell's seed-free slot simulated
+// nothing, and the simulation count is misses minus those shared
+// repetitions. The shared count is process-wide, like the deployment
+// counters: exact in a process that ran one store (every CLI), and not
+// subtracted when it exceeds this store's misses, which means it also
+// counts runs outside this store.
 func StoreStatsLine(st TrialStore) string {
-	s := st.Stats()
+	return storeStatsLine(st.Stats(), SharedRepetitions())
+}
+
+// storeStatsLine is StoreStatsLine over a stats snapshot and a shared
+// repetition count.
+func storeStatsLine(s resultstore.Stats, shared uint64) string {
+	sims := s.Misses
+	if shared <= sims {
+		sims -= shared
+	}
 	line := fmt.Sprintf("store: %d hits, %d misses (%d simulations), %d records loaded, %d appended, %d corrupt skipped, %d entries, %d bytes on disk",
-		s.Hits, s.Misses, s.Misses, s.Loaded, s.Appended, s.Corrupt, s.Entries, s.DiskBytes)
+		s.Hits, s.Misses, sims, s.Loaded, s.Appended, s.Corrupt, s.Entries, s.DiskBytes)
 	// The robustness counters only earn a mention when something happened:
 	// the everything-went-fine line stays byte-stable for scripts (and
 	// eyes) that learned the original format.
@@ -77,6 +91,9 @@ func StoreStatsLine(st TrialStore) string {
 	// process that deployed nothing keeps the original line byte-stable.
 	if built, reused := DeployStats(); built+reused > 0 {
 		line += fmt.Sprintf(", %d deployments reused (%d built)", reused, built)
+	}
+	if shared > 0 {
+		line += fmt.Sprintf(", %d repetitions shared", shared)
 	}
 	if hits, misses := topology.IndexCacheStats(); hits+misses > 0 {
 		line += fmt.Sprintf(", %d topology index cache hits (%d misses)", hits, misses)

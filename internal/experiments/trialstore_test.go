@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/resultstore"
 	"repro/internal/sched"
 )
 
@@ -175,6 +176,33 @@ func TestStoreStatsLineFormat(t *testing.T) {
 	line := StoreStatsLine(m)
 	if !strings.Contains(line, "1 hits, 1 misses (1 simulations)") {
 		t.Fatalf("stats line drifted from the documented format: %q", line)
+	}
+}
+
+// TestStoreStatsLineSubtractsShared: a miss answered from a seed-free
+// slot simulated nothing, so the simulation count is misses minus shared
+// repetitions, and the shared count rides as an append-only suffix. A
+// shared count above the store's misses also counts runs outside this
+// store and is not subtracted.
+func TestStoreStatsLineSubtractsShared(t *testing.T) {
+	s := resultstore.Stats{Hits: 2, Misses: 10}
+	for _, c := range []struct {
+		shared uint64
+		want   []string
+	}{
+		{0, []string{"2 hits, 10 misses (10 simulations)"}},
+		{4, []string{"2 hits, 10 misses (6 simulations)", ", 4 repetitions shared"}},
+		{12, []string{"2 hits, 10 misses (10 simulations)", ", 12 repetitions shared"}},
+	} {
+		line := storeStatsLine(s, c.shared)
+		for _, want := range c.want {
+			if !strings.Contains(line, want) {
+				t.Errorf("shared=%d: line %q lacks %q", c.shared, line, want)
+			}
+		}
+		if c.shared == 0 && strings.Contains(line, "shared") {
+			t.Errorf("shared=0: line %q mentions sharing; the base line must stay byte-stable", line)
+		}
 	}
 }
 

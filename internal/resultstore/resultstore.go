@@ -28,7 +28,7 @@ import (
 // methods are safe for concurrent use by parallel trial workers.
 type Store[V any] interface {
 	// Get returns the stored value for key; every call counts as a hit or
-	// a miss (for a memoized run, misses = simulations actually executed).
+	// a miss (for a memoized run, every simulation executed is a miss).
 	Get(key uint64) (V, bool)
 	// Put stores the value for key. Stores assume deterministic values —
 	// two Puts of the same key carry the same value — so racing writers

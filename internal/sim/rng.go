@@ -10,8 +10,13 @@ import "math"
 // it is plain mutable state with no locking. Concurrent trials must not
 // share one — derive an independent substream seed per trial with Substream
 // and give each trial its own NewRNG.
+//
+// An RNG counts the draws made since it was last seeded. A run whose
+// count is still zero at the end followed the same path it would have
+// followed under any other seed (see Draws).
 type RNG struct {
 	state uint64
+	draws uint64
 }
 
 // Substream deterministically derives an independent seed from a base seed
@@ -50,10 +55,17 @@ func (r *RNG) Reseed(seed uint64) {
 		z = 0x9e3779b97f4a7c15
 	}
 	r.state = z
+	r.draws = 0
 }
+
+// Draws returns the number of Uint64 draws since the generator was last
+// seeded. Every other draw method goes through Uint64, so zero means the
+// stream was never read: nothing the caller did depended on the seed.
+func (r *RNG) Draws() uint64 { return r.draws }
 
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
+	r.draws++
 	x := r.state
 	x ^= x >> 12
 	x ^= x << 25

@@ -140,3 +140,39 @@ func TestPermProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDrawsCountsEveryDrawMethod: every draw method advances Draws, a
+// zero-width Jitter does not, and Reseed rewinds the count with the
+// stream. Seed-free trial sharing relies on all three.
+func TestDrawsCountsEveryDrawMethod(t *testing.T) {
+	r := NewRNG(9)
+	if r.Draws() != 0 {
+		t.Fatalf("fresh RNG has %d draws, want 0", r.Draws())
+	}
+	for _, c := range []struct {
+		name string
+		draw func()
+	}{
+		{"Uint64", func() { r.Uint64() }},
+		{"Float64", func() { r.Float64() }},
+		{"Intn", func() { r.Intn(5) }},
+		{"ExpDuration", func() { r.ExpDuration(Millisecond) }},
+		{"Normal", func() { r.Normal(0, 1) }},
+		{"Jitter", func() { r.Jitter(Millisecond, 0.1) }},
+		{"Perm", func() { r.Perm(4) }},
+	} {
+		before := r.Draws()
+		c.draw()
+		if r.Draws() <= before {
+			t.Fatalf("%s did not advance Draws (%d before, %d after)", c.name, before, r.Draws())
+		}
+	}
+	before := r.Draws()
+	if r.Jitter(Millisecond, 0) != Millisecond || r.Draws() != before {
+		t.Fatalf("Jitter(d, 0) drew from the stream: %d draws, want %d", r.Draws(), before)
+	}
+	r.Reseed(9)
+	if r.Draws() != 0 {
+		t.Fatalf("Reseed left %d draws, want 0", r.Draws())
+	}
+}

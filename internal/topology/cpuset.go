@@ -18,7 +18,10 @@ const setWords = MaxCPUs / 64
 
 // CPUSet is a fixed-size bitmask of logical CPU ids. The zero value is the
 // empty set. CPUSet is a value type: methods that modify it take a pointer
-// receiver; set-algebra methods return new sets.
+// receiver, and so do the scan methods (Words, Word, Contains, Next) that
+// the scheduler calls through shared *CPUSet masks, which would otherwise
+// copy the whole 136-byte set per call; set-algebra methods return new
+// sets.
 //
 // A set carries a high-word hint so algebra and scans on realistic 8–112
 // CPU machines touch one or two words instead of all 16. Compare sets with
@@ -97,11 +100,11 @@ func (s *CPUSet) Remove(cpu int) {
 // word index i >= Words(). Together with Word it enables allocation-free
 // mask-driven scans (iterate set bits word by word) without exposing the
 // backing array.
-func (s CPUSet) Words() int { return int(s.hi) }
+func (s *CPUSet) Words() int { return int(s.hi) }
 
 // Word returns the i-th 64-bit word of the mask (CPUs 64i..64i+63). Any
 // index from 0 to setWords-1 is valid; words at or beyond Words() are zero.
-func (s CPUSet) Word(i int) uint64 {
+func (s *CPUSet) Word(i int) uint64 {
 	if i < 0 || i >= int(s.hi) {
 		return 0
 	}
@@ -110,7 +113,7 @@ func (s CPUSet) Word(i int) uint64 {
 
 // Contains reports whether cpu is in the set; any out-of-range id is
 // simply not a member.
-func (s CPUSet) Contains(cpu int) bool {
+func (s *CPUSet) Contains(cpu int) bool {
 	w := cpu / 64
 	if cpu < 0 || w >= int(s.hi) {
 		return false
@@ -200,7 +203,7 @@ func (s CPUSet) First() int {
 }
 
 // Next returns the lowest CPU id strictly greater than cpu, or -1.
-func (s CPUSet) Next(cpu int) int {
+func (s *CPUSet) Next(cpu int) int {
 	start := cpu + 1
 	if start < 0 {
 		start = 0
