@@ -68,9 +68,9 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := experiments.Config{Reps: *reps, Seed: *seed, Quick: *quick, Workers: *workers}
+	cfg := experiments.Config{Reps: *reps, Seed: *seed, Quick: *quick, Executor: experiments.Pool{Workers: *workers}}
 	_, finish, err := storecli.Apply("pinservd", &cfg, storecli.Options{
-		Store: *store, Merge: *merge, Degraded: *degraded, Workers: *workers, Verbose: *verbose,
+		Store: *store, Merge: *merge, Degraded: *degraded, Verbose: *verbose,
 	})
 	if err != nil {
 		fatalf("%v", err)

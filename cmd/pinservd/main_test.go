@@ -70,8 +70,8 @@ func TestServeUntilDrainsOnCancel(t *testing.T) {
 			}
 		})
 	}
-	cfg := experiments.Config{Quick: true, Seed: 42, Workers: 1, Progress: hold}
-	_, finish, err := storecli.Apply("pinservd", &cfg, storecli.Options{Store: dir, Workers: 1})
+	cfg := experiments.Config{Quick: true, Seed: 42, Executor: experiments.Pool{Workers: 1}, Progress: hold}
+	_, finish, err := storecli.Apply("pinservd", &cfg, storecli.Options{Store: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestServeUntilDrainsOnCancel(t *testing.T) {
 	if err := <-served; err != nil {
 		t.Fatalf("serveUntil = %v, want nil after a drained shutdown", err)
 	}
-	simulated := st.Len()
+	simulated := st.Stats().Entries
 	if simulated == 0 {
 		t.Fatal("the request simulated nothing")
 	}
@@ -110,7 +110,7 @@ func TestServeUntilDrainsOnCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	if got := reopened.Len(); got != simulated {
+	if got := reopened.Stats().Entries; got != simulated {
 		t.Fatalf("reopened store holds %d trials, want the %d simulated before shutdown", got, simulated)
 	}
 }

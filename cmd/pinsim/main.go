@@ -89,10 +89,10 @@ func main() {
 	stopProfiles = stop
 	defer stop()
 
-	cfg := experiments.Config{Reps: *reps, Seed: *seed, Quick: *quick, Workers: *workers}
+	cfg := experiments.Config{Reps: *reps, Seed: *seed, Quick: *quick, Executor: experiments.Pool{Workers: *workers}}
 
 	sharded, finishStore, err := storecli.Apply("pinsim", &cfg, storecli.Options{
-		Store: *store, Merge: *merge, Shard: *shard, Degraded: *degraded, Workers: *workers, Verbose: *verbose,
+		Store: *store, Merge: *merge, Shard: *shard, Degraded: *degraded, Verbose: *verbose,
 	})
 	if err != nil {
 		fatalf("%v", err)

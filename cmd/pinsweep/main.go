@@ -79,13 +79,13 @@ func main() {
 	defer stop()
 
 	cfg := experiments.Config{
-		Reps:    *reps,
-		Seed:    *seed,
-		Quick:   *quick,
-		Workers: *workers,
+		Reps:     *reps,
+		Seed:     *seed,
+		Quick:    *quick,
+		Executor: experiments.Pool{Workers: *workers},
 	}
 	sharded, finishStore, err := storecli.Apply("pinsweep", &cfg, storecli.Options{
-		Store: *store, Merge: *merge, Shard: *shardSpec, Degraded: *degraded, Workers: *workers, Verbose: *verbose,
+		Store: *store, Merge: *merge, Shard: *shardSpec, Degraded: *degraded, Verbose: *verbose,
 	})
 	if err != nil {
 		fatalf("%v", err)

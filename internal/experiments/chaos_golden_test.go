@@ -22,7 +22,7 @@ func renderAllQuick(t *testing.T, st TrialStore) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	for n := 3; n <= 8; n++ {
-		f, err := RunFigure(n, Config{Seed: 42, Quick: true, Workers: 2, Memo: st})
+		f, err := RunFigure(n, Config{Seed: 42, Quick: true, Executor: Pool{Workers: 2}, Memo: st})
 		if err != nil {
 			t.Fatalf("figure %d: %v", n, err)
 		}

@@ -106,7 +106,7 @@ func TestScenarioShardMergeEqualsUnsharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a quick figure three times")
 	}
-	cfg := Config{Seed: 42, Quick: true, Workers: 2}
+	cfg := Config{Seed: 42, Quick: true, Executor: Pool{Workers: 2}}
 	direct, err := RunRegistered("fig3", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestScenarioShardMergeEqualsUnsharded(t *testing.T) {
 		if _, err := RunRegistered("fig3", shardCfg); err != nil {
 			t.Fatalf("shard %d: %v", idx, err)
 		}
-		if st.Misses() == 0 {
+		if st.Stats().Misses == 0 {
 			t.Fatalf("shard %d simulated nothing", idx)
 		}
 		if err := st.Close(); err != nil {
@@ -142,8 +142,8 @@ func TestScenarioShardMergeEqualsUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if memo.Misses() != 0 {
-		t.Fatalf("merge run simulated %d trials, want 0", memo.Misses())
+	if memo.Stats().Misses != 0 {
+		t.Fatalf("merge run simulated %d trials, want 0", memo.Stats().Misses)
 	}
 	var a, b strings.Builder
 	direct.RenderText(&a)
@@ -258,7 +258,7 @@ func TestFigureSurvivesTransientTrialPanic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a quick figure twice")
 	}
-	base := Config{Seed: 42, Quick: true, Workers: 2}
+	base := Config{Seed: 42, Quick: true, Executor: Pool{Workers: 2}}
 	clean, err := RunRegistered("fig3", base)
 	if err != nil {
 		t.Fatal(err)

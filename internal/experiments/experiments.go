@@ -6,7 +6,7 @@
 // Every experiment decomposes into a grid of independent trials — one
 // seeded simulation per (series, cell, repetition) — executed by the
 // trial runner (runner.go) through a pluggable Executor (executor.go):
-// trials fan out across Config.Workers goroutines (or a deterministic
+// trials fan out across a Pool of goroutines (or a deterministic
 // shard of the grid, for multi-machine runs) with results that are
 // bit-identical to a serial run, and an optional Config.Memo — in-memory
 // memo or durable disk-backed store (trialstore.go) — skips trials that
@@ -126,17 +126,12 @@ type Config struct {
 	// use. It is part of the trial key, so ablated runs memoize and reuse
 	// deployments like any other run.
 	Ablate machine.Ablation
-	// Workers is the trial fan-out: every figure and sweep is a grid of
-	// independent (series, cell, repetition) trials whose seeds are derived
-	// up front, so trials run on a pool of this many goroutines with
-	// bit-identical output to a serial run. 0 means GOMAXPROCS; 1 runs
-	// Pool's contained loop on the calling goroutine. Ignored when
-	// Executor is set — wire the worker count into the executor instead
-	// (e.g. Shard{Inner: Pool{Workers: n}}).
-	Workers int
-	// Executor overrides the trial-execution strategy (nil = Pool{Workers}):
-	// Pool, or Shard for running a deterministic partition of every
-	// trial grid on one of N machines (see executor.go).
+	// Executor is the trial-execution strategy (nil = Pool{}): every
+	// figure and sweep is a grid of independent (series, cell, repetition)
+	// trials whose seeds are derived up front, so Pool{Workers: n} runs them
+	// on n goroutines with bit-identical output to a serial run, and Shard
+	// runs a deterministic partition of every trial grid on one of N
+	// machines (see executor.go).
 	Executor Executor
 	// Memo, when non-nil, stores per-trial results keyed by a versioned
 	// canonical encoding of the trial's full configuration and seed.

@@ -26,9 +26,9 @@ func TestFigAllQuickMatchesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	// Workers: 1 pins the legacy serial path; TestFigAllQuickWorkerInvariant
+	// Pool{Workers: 1} pins the serial loop; TestFigAllQuickWorkerInvariant
 	// covers the parallel runner at 2 and 8 workers against the same bytes.
-	cfg := Config{Seed: 42, Quick: true, Workers: 1}
+	cfg := Config{Seed: 42, Quick: true, Executor: Pool{Workers: 1}}
 	for n := 3; n <= 8; n++ {
 		f, err := RunFigure(n, cfg)
 		if err != nil {
@@ -59,7 +59,7 @@ func TestFigAllQuickWorkerInvariant(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		var buf bytes.Buffer
 		for n := 3; n <= 8; n++ {
-			f, err := RunFigure(n, Config{Seed: 42, Quick: true, Workers: workers})
+			f, err := RunFigure(n, Config{Seed: 42, Quick: true, Executor: Pool{Workers: workers}})
 			if err != nil {
 				t.Fatalf("workers=%d figure %d: %v", workers, n, err)
 			}
@@ -90,7 +90,7 @@ func TestFigAllQuickStoreInvariant(t *testing.T) {
 	renderAll := func(st TrialStore) []byte {
 		var buf bytes.Buffer
 		for n := 3; n <= 8; n++ {
-			f, err := RunFigure(n, Config{Seed: 42, Quick: true, Workers: 2, Memo: st})
+			f, err := RunFigure(n, Config{Seed: 42, Quick: true, Executor: Pool{Workers: 2}, Memo: st})
 			if err != nil {
 				t.Fatalf("figure %d: %v", n, err)
 			}
@@ -120,7 +120,7 @@ func TestFigAllQuickStoreInvariant(t *testing.T) {
 		t.Fatalf("warm store run diverged from the golden fingerprint\n got sha256 %s\nwant sha256 %s\nfirst divergence at byte %d",
 			shortHash(got), shortHash(golden), firstDiff(got, golden))
 	}
-	if misses := warm.Misses(); misses != 0 {
+	if misses := warm.Stats().Misses; misses != 0 {
 		t.Fatalf("warm store run simulated %d trials, want 0", misses)
 	}
 }

@@ -63,24 +63,20 @@ func TestRunProfileVanillaCNShowsThrottles(t *testing.T) {
 	}
 	// The deployment's cgroup must appear in cpudist and pay IO off-CPU time.
 	var key string
-	for k := range col.OnCPU {
-		if strings.HasPrefix(k, "cn") {
+	for _, k := range col.Keys() {
+		if strings.HasPrefix(k, "cn") && col.OnCPUHist(k) != nil {
 			key = k
 			break
 		}
 	}
 	if key == "" {
-		var keys []string
-		for k := range col.OnCPU {
-			keys = append(keys, k)
-		}
-		t.Fatalf("container group missing from cpudist keys %v", keys)
+		t.Fatalf("container group missing from cpudist keys %v", col.Keys())
 	}
-	if col.OffCPU[key][sched.BlockIO] == nil {
+	if col.OffCPUHist(key, sched.BlockIO) == nil {
 		t.Fatal("IO off-CPU histogram missing")
 	}
 	// A quota'd web burst at xLarge must throttle.
-	if col.Throttles()[key] == 0 {
+	if col.ThrottleCount(key) == 0 {
 		t.Fatal("vanilla CN under load must throttle")
 	}
 	var buf bytes.Buffer

@@ -38,14 +38,13 @@ type TrialResult struct {
 }
 
 // forEachTrial executes run(0..n-1) through the configured executor and
-// reports the first (lowest-index) error. The default is Pool{Workers:
-// cfg.Workers} — the atomic-claim worker fan-out, running on the calling
-// goroutine at Workers 1. cfg.Progress, when set, is observed after
-// every completed trial.
+// reports the first (lowest-index) error. The default is Pool{} — the
+// atomic-claim worker fan-out across GOMAXPROCS goroutines. cfg.Progress,
+// when set, is observed after every completed trial.
 func forEachTrial(cfg Config, n int, run func(tc *TrialContext, i int) error) error {
 	ex := cfg.Executor
 	if ex == nil {
-		ex = Pool{Workers: cfg.Workers}
+		ex = Pool{}
 	}
 	return ex.Execute(n, run, cfg.Progress)
 }

@@ -32,7 +32,7 @@ func TestForEachTrialCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 7} {
 		const n = 100
 		var counts [n]atomic.Int64
-		err := forEachTrial(Config{Workers: workers}, n, func(tc *TrialContext, i int) error {
+		err := forEachTrial(Config{Executor: Pool{Workers: workers}}, n, func(tc *TrialContext, i int) error {
 			counts[i].Add(1)
 			return nil
 		})
@@ -49,7 +49,7 @@ func TestForEachTrialCoversEveryIndexOnce(t *testing.T) {
 
 func TestForEachTrialReturnsLowestIndexError(t *testing.T) {
 	for _, workers := range []int{1, 7} {
-		err := forEachTrial(Config{Workers: workers}, 50, func(tc *TrialContext, i int) error {
+		err := forEachTrial(Config{Executor: Pool{Workers: workers}}, 50, func(tc *TrialContext, i int) error {
 			if i == 13 || i == 37 {
 				return fmt.Errorf("trial %d failed", i)
 			}
@@ -59,7 +59,7 @@ func TestForEachTrialReturnsLowestIndexError(t *testing.T) {
 			t.Fatalf("workers=%d: err = %v, want the lowest-index failure", workers, err)
 		}
 	}
-	if err := forEachTrial(Config{Workers: 4}, 0, func(*TrialContext, int) error {
+	if err := forEachTrial(Config{Executor: Pool{Workers: 4}}, 0, func(*TrialContext, int) error {
 		return errors.New("must not run")
 	}); err != nil {
 		t.Fatalf("empty grid: %v", err)
@@ -71,7 +71,7 @@ func TestForEachTrialProgressReachesTotal(t *testing.T) {
 		const n = 40
 		var calls int
 		last := 0
-		cfg := Config{Workers: workers, Progress: func(done, total int) {
+		cfg := Config{Executor: Pool{Workers: workers}, Progress: func(done, total int) {
 			calls++
 			if total != n {
 				t.Fatalf("total = %d, want %d", total, n)
@@ -98,11 +98,11 @@ func TestForEachTrialProgressReachesTotal(t *testing.T) {
 // cell-for-cell bit-identical to the legacy serial path.
 func TestParallelFiguresMatchSerial(t *testing.T) {
 	for _, n := range []int{3, 7, 8} {
-		serial, err := RunFigure(n, Config{Quick: true, Reps: 2, Seed: 1234, Workers: 1})
+		serial, err := RunFigure(n, Config{Quick: true, Reps: 2, Seed: 1234, Executor: Pool{Workers: 1}})
 		if err != nil {
 			t.Fatalf("fig %d serial: %v", n, err)
 		}
-		parallel, err := RunFigure(n, Config{Quick: true, Reps: 2, Seed: 1234, Workers: 8})
+		parallel, err := RunFigure(n, Config{Quick: true, Reps: 2, Seed: 1234, Executor: Pool{Workers: 8}})
 		if err != nil {
 			t.Fatalf("fig %d parallel: %v", n, err)
 		}
@@ -116,7 +116,7 @@ func TestParallelFiguresMatchSerial(t *testing.T) {
 // TestMemoizedFigureMatchesUnmemoized guards the trial fingerprint: replaying
 // a figure from a warm memo must reproduce the simulated figure exactly.
 func TestMemoizedFigureMatchesUnmemoized(t *testing.T) {
-	base := Config{Quick: true, Reps: 2, Seed: 99, Workers: 1}
+	base := Config{Quick: true, Reps: 2, Seed: 99, Executor: Pool{Workers: 1}}
 	plain, err := RunFig3(base)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestMemoizedFigureMatchesUnmemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	misses := memo.Misses()
+	misses := memo.Stats().Misses
 	if misses == 0 {
 		t.Fatal("cold memo must miss")
 	}
@@ -136,8 +136,8 @@ func TestMemoizedFigureMatchesUnmemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if memo.Misses() != misses {
-		t.Fatalf("warm replay simulated %d new trials, want 0", memo.Misses()-misses)
+	if memo.Stats().Misses != misses {
+		t.Fatalf("warm replay simulated %d new trials, want 0", memo.Stats().Misses-misses)
 	}
 	if !reflect.DeepEqual(plain, first) || !reflect.DeepEqual(first, second) {
 		t.Fatal("memoized figures must equal the unmemoized figure")
@@ -149,12 +149,12 @@ func TestMemoizedFigureMatchesUnmemoized(t *testing.T) {
 // memo simulates its own trials instead of replaying the ablated ones.
 func TestAblatedFigureMemoizes(t *testing.T) {
 	memo := NewTrialMemo()
-	cfg := Config{Quick: true, Reps: 1, Seed: 5, Workers: 1, Ablate: machine.AblateNUMA, Memo: memo}
+	cfg := Config{Quick: true, Reps: 1, Seed: 5, Executor: Pool{Workers: 1}, Ablate: machine.AblateNUMA, Memo: memo}
 	first, err := RunFig7(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	misses := memo.Misses()
+	misses := memo.Stats().Misses
 	if misses == 0 {
 		t.Fatal("cold memo must miss")
 	}
@@ -162,8 +162,8 @@ func TestAblatedFigureMemoizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if memo.Misses() != misses {
-		t.Fatalf("warm ablated replay simulated %d new trials, want 0", memo.Misses()-misses)
+	if memo.Stats().Misses != misses {
+		t.Fatalf("warm ablated replay simulated %d new trials, want 0", memo.Stats().Misses-misses)
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Fatal("memoized ablated figure must equal the simulated one")
@@ -172,17 +172,17 @@ func TestAblatedFigureMemoizes(t *testing.T) {
 	if _, err := RunFig7(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if got := memo.Misses() - misses; got != misses {
+	if got := memo.Stats().Misses - misses; got != misses {
 		t.Fatalf("unablated run simulated %d trials, want %d: it replayed ablated results", got, misses)
 	}
 }
 
-// The benchmark pair is the serial-vs-parallel A/B the Workers field
-// exists for; on a multi-core host the parallel variant should approach a
+// The benchmark pair is the serial-vs-parallel A/B of Pool's worker
+// count; on a multi-core host the parallel variant should approach a
 // GOMAXPROCS-fold speedup (trials are embarrassingly parallel).
 func BenchmarkQuickFig3Serial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := RunFig3(Config{Quick: true, Reps: 2, Seed: 1234, Workers: 1}); err != nil {
+		if _, err := RunFig3(Config{Quick: true, Reps: 2, Seed: 1234, Executor: Pool{Workers: 1}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -224,7 +224,7 @@ func BenchmarkScenarioDispatch(b *testing.B) {
 
 func BenchmarkQuickFig3Parallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := RunFig3(Config{Quick: true, Reps: 2, Seed: 1234, Workers: 0}); err != nil {
+		if _, err := RunFig3(Config{Quick: true, Reps: 2, Seed: 1234, Executor: Pool{Workers: 0}}); err != nil {
 			b.Fatal(err)
 		}
 	}

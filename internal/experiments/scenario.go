@@ -438,7 +438,7 @@ func planScenario(cfg Config, sc Scenario) (*scenarioGrid, error) {
 }
 
 // RunScenario executes a scenario: its (series × cells × reps) grid fans
-// out across Config.Workers with per-trial substream seeds derived from
+// out through Config.Executor with per-trial substream seeds derived from
 // SeedTag and grid coordinates alone, so output is bit-identical at any
 // worker count, and Config.Memo skips trials an earlier run simulated.
 func RunScenario(cfg Config, sc Scenario) (Figure, error) {

@@ -162,12 +162,12 @@ func TestExampleScenarioFilesRunWithMemoHits(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		cfg := Config{Quick: true, Reps: 1, Seed: 9, Workers: 1, Memo: NewTrialMemo()}
+		cfg := Config{Quick: true, Reps: 1, Seed: 9, Executor: Pool{Workers: 1}, Memo: NewTrialMemo()}
 		first, err := RunScenario(cfg, sc)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		missesAfterFirst := cfg.Memo.Misses()
+		missesAfterFirst := cfg.Memo.Stats().Misses
 		if missesAfterFirst == 0 {
 			t.Fatalf("%s: first run must simulate", path)
 		}
@@ -175,9 +175,9 @@ func TestExampleScenarioFilesRunWithMemoHits(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: repeat: %v", path, err)
 		}
-		if cfg.Memo.Misses() != missesAfterFirst {
+		if cfg.Memo.Stats().Misses != missesAfterFirst {
 			t.Fatalf("%s: repeat run re-simulated %d trials instead of hitting the memo",
-				path, cfg.Memo.Misses()-missesAfterFirst)
+				path, cfg.Memo.Stats().Misses-missesAfterFirst)
 		}
 		if !reflect.DeepEqual(first, second) {
 			t.Fatalf("%s: memoized repeat diverged", path)
@@ -220,11 +220,11 @@ func TestScenarioWorkerInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := RunScenario(Config{Quick: true, Reps: 2, Seed: 5, Workers: 1}, sc)
+	serial, err := RunScenario(Config{Quick: true, Reps: 2, Seed: 5, Executor: Pool{Workers: 1}}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunScenario(Config{Quick: true, Reps: 2, Seed: 5, Workers: 8}, sc)
+	parallel, err := RunScenario(Config{Quick: true, Reps: 2, Seed: 5, Executor: Pool{Workers: 8}}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,7 +108,7 @@ func TestSeedFreeCellsSimulateOnce(t *testing.T) {
 	if !ok {
 		t.Fatal("fig3 not registered")
 	}
-	cfg := Config{Seed: 7, Quick: true, Reps: 3, Workers: 1}
+	cfg := Config{Seed: 7, Quick: true, Reps: 3, Executor: Pool{Workers: 1}}
 	wantSim, wantShared := simulatedTrials(t, cfg, sc)
 	if wantShared == 0 {
 		t.Fatal("quick fig3 has no seed-free cell: the test checks nothing")
@@ -132,13 +132,13 @@ func TestSeedFreeSharingIgnoresScheduling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a quick figure three times")
 	}
-	cfg := Config{Seed: 11, Quick: true, Reps: 6, Workers: 1}
+	cfg := Config{Seed: 11, Quick: true, Reps: 6, Executor: Pool{Workers: 1}}
 	want, err := RunFig3(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		cfg.Workers = workers
+		cfg.Executor = Pool{Workers: workers}
 		got, err := RunFig3(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -55,7 +55,7 @@ func BenchmarkMemoHitParallel(b *testing.B) {
 // reassembles from warm stores. The benchmark's replay-warm workload
 // measures the same path end to end.
 func BenchmarkMillionTrialReplay(b *testing.B) {
-	cfg := Config{Quick: true, Reps: 2, Seed: 1234, Workers: 1, Memo: NewTrialMemo()}
+	cfg := Config{Quick: true, Reps: 2, Seed: 1234, Executor: Pool{Workers: 1}, Memo: NewTrialMemo()}
 	if _, err := RunFig3(cfg); err != nil {
 		b.Fatal(err) // cold run fills the memo
 	}

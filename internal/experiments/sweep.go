@@ -139,7 +139,7 @@ type SweepResult struct {
 
 // Sweep runs the grid through the parallel trial runner. Every trial is an
 // independent simulation seeded by cell content, so the result is
-// bit-identical for any Config.Workers and any memo state.
+// bit-identical for any Config.Executor and any memo state.
 func Sweep(cfg Config, spec SweepSpec) (*SweepResult, error) {
 	cfg = cfg.withDefaults()
 	spec = spec.withDefaults(cfg)

@@ -75,11 +75,11 @@ func TestSweepRatiosAgainstBM(t *testing.T) {
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	spec := sweepSpecSmall()
 	spec.Workloads = []string{"ffmpeg", "wordpress"}
-	serial, err := Sweep(Config{Quick: true, Seed: 7, Workers: 1}, spec)
+	serial, err := Sweep(Config{Quick: true, Seed: 7, Executor: Pool{Workers: 1}}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Sweep(Config{Quick: true, Seed: 7, Workers: 8}, spec)
+	parallel, err := Sweep(Config{Quick: true, Seed: 7, Executor: Pool{Workers: 8}}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +93,14 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 // cells outside the overlap.
 func TestSweepMemoSkipsOverlap(t *testing.T) {
 	memo := NewTrialMemo()
-	cfg := Config{Quick: true, Seed: 5, Memo: memo, Workers: 2}
+	cfg := Config{Quick: true, Seed: 5, Memo: memo, Executor: Pool{Workers: 2}}
 	spec := sweepSpecSmall()
 
 	first, err := Sweep(cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := memo.Misses()
+	cold := memo.Stats().Misses
 	if cold != 3*2*2 {
 		t.Fatalf("cold sweep simulated %d trials, want every one (12)", cold)
 	}
@@ -110,8 +110,8 @@ func TestSweepMemoSkipsOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if memo.Misses() != cold {
-		t.Fatalf("repeat sweep simulated %d new trials, want 0", memo.Misses()-cold)
+	if memo.Stats().Misses != cold {
+		t.Fatalf("repeat sweep simulated %d new trials, want 0", memo.Stats().Misses-cold)
 	}
 	if !reflect.DeepEqual(first.Cells, second.Cells) {
 		t.Fatal("memoized repeat must reproduce the sweep exactly")
@@ -123,7 +123,7 @@ func TestSweepMemoSkipsOverlap(t *testing.T) {
 	if _, err := Sweep(cfg, bigger); err != nil {
 		t.Fatal(err)
 	}
-	newTrials := memo.Misses() - cold
+	newTrials := memo.Stats().Misses - cold
 	if newTrials != 3*1*2 {
 		t.Fatalf("overlapping sweep simulated %d new trials, want only the 6 new-column ones", newTrials)
 	}
@@ -145,14 +145,14 @@ func TestSweepAliasesShareCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := memo.Misses()
+	cold := memo.Stats().Misses
 	spec.Workloads = []string{"web"}
 	aliased, err := Sweep(cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if memo.Misses() != cold {
-		t.Fatalf("aliased sweep simulated %d new trials, want 0 (same cells)", memo.Misses()-cold)
+	if memo.Stats().Misses != cold {
+		t.Fatalf("aliased sweep simulated %d new trials, want 0 (same cells)", memo.Stats().Misses-cold)
 	}
 	if !reflect.DeepEqual(canonical.Cells, aliased.Cells) {
 		t.Fatal("alias and canonical name must produce identical cells")

@@ -28,7 +28,7 @@ func TestReuseEquivalence(t *testing.T) {
 		t.Skip("regenerates six figures twice")
 	}
 	for n := 3; n <= 8; n++ {
-		reused, err := RunFigure(n, Config{Seed: 42, Quick: true, Workers: 2})
+		reused, err := RunFigure(n, Config{Seed: 42, Quick: true, Executor: Pool{Workers: 2}})
 		if err != nil {
 			t.Fatalf("fig %d reuse on: %v", n, err)
 		}
@@ -72,14 +72,14 @@ func TestAblationReuseEquivalence(t *testing.T) {
 	plain := map[int]Figure{}
 	for _, c := range cases {
 		if _, ok := plain[c.fig]; !ok {
-			f, err := RunFigure(c.fig, Config{Seed: 42, Quick: true, Reps: 1, Workers: 1})
+			f, err := RunFigure(c.fig, Config{Seed: 42, Quick: true, Reps: 1, Executor: Pool{Workers: 1}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			plain[c.fig] = f
 		}
 		for _, workers := range []int{1, 2} {
-			reused, err := RunFigure(c.fig, Config{Seed: 42, Quick: true, Reps: 1, Workers: workers, Ablate: c.ablate})
+			reused, err := RunFigure(c.fig, Config{Seed: 42, Quick: true, Reps: 1, Executor: Pool{Workers: workers}, Ablate: c.ablate})
 			if err != nil {
 				t.Fatalf("ablation %#x fig %d reuse on: %v", c.ablate, c.fig, err)
 			}
@@ -165,7 +165,7 @@ func TestDeployStatsCountReuse(t *testing.T) {
 	wantBuilt := uint64(len(shapes))
 
 	b0, r0 := DeployStats()
-	cfg.Workers = 1
+	cfg.Executor = Pool{Workers: 1}
 	if _, err := RunFig3(cfg); err != nil {
 		t.Fatal(err)
 	}

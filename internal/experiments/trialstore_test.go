@@ -64,7 +64,7 @@ func TestTrialCodecRejectsWrongShapes(t *testing.T) {
 // runFig3Quick renders fig3 -quick with the given store.
 func runFig3Quick(t *testing.T, st TrialStore) string {
 	t.Helper()
-	cfg := Config{Seed: 42, Quick: true, Workers: 2, Memo: st}
+	cfg := Config{Seed: 42, Quick: true, Executor: Pool{Workers: 2}, Memo: st}
 	f, err := RunRegistered("fig3", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestWarmStoreRunIsIncrementalAcrossProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := runFig3Quick(t, st)
-	coldMisses := st.Misses()
+	coldMisses := st.Stats().Misses
 	if coldMisses == 0 {
 		t.Fatal("cold run simulated nothing")
 	}
@@ -211,7 +211,7 @@ func TestStoreStatsLineSubtractsShared(t *testing.T) {
 // documented base prefix intact in front of them.
 func TestStoreStatsLineReuseCounters(t *testing.T) {
 	m := NewTrialMemo()
-	if _, err := RunFig3(Config{Quick: true, Reps: 2, Seed: 3, Workers: 1, Memo: m}); err != nil {
+	if _, err := RunFig3(Config{Quick: true, Reps: 2, Seed: 3, Executor: Pool{Workers: 1}, Memo: m}); err != nil {
 		t.Fatal(err)
 	}
 	line := StoreStatsLine(m)

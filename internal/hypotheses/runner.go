@@ -45,7 +45,8 @@ type Config struct {
 	Seed uint64
 	// Quick applies the scenarios' quick workload scaling (the CI profile).
 	Quick bool
-	// Workers is the per-scenario trial fan-out (experiments.Config.Workers).
+	// Workers is the per-scenario trial fan-out: the size of the
+	// experiments.Pool each scenario run executes on.
 	Workers int
 	// Store, when non-nil, memoizes trials across seeds, hypotheses and —
 	// when disk-backed — processes.
@@ -116,11 +117,11 @@ func Run(h Hypothesis, cfg Config) (Finding, error) {
 		ecfg := experiments.Config{
 			// Reps=1: each seed index is one independent repetition of the
 			// whole grid; the seed axis replaces the rep axis.
-			Reps:    1,
-			Seed:    seedAt(cfg.Seed, i),
-			Quick:   cfg.Quick,
-			Workers: cfg.Workers,
-			Memo:    cfg.Store,
+			Reps:     1,
+			Seed:     seedAt(cfg.Seed, i),
+			Quick:    cfg.Quick,
+			Executor: experiments.Pool{Workers: cfg.Workers},
+			Memo:     cfg.Store,
 		}
 		f, err := experiments.RunScenario(ecfg, sc)
 		if err != nil {

@@ -18,6 +18,16 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsLiteralTopology: a topology with valid dimensions that
+// topology.New did not build has no index; New reports it instead of a
+// scheduler lookup dereferencing nil.
+func TestNewRejectsLiteralTopology(t *testing.T) {
+	lit := &topology.Topology{Name: "lit", Sockets: 1, CoresPerSocket: 4, ThreadsPerCore: 1}
+	if _, err := New(Config{Topo: lit}); err == nil {
+		t.Fatal("literal topology (not built by topology.New) must fail")
+	}
+}
+
 func TestDefaultsFilledIn(t *testing.T) {
 	topo := topology.SmallHost16()
 	m := MustNew(Config{Topo: topo})

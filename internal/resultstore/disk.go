@@ -189,11 +189,9 @@ type Disk[V any] struct {
 	nextSeg   int  // next segment number to try for O_EXCL creation
 	sinceSync int  // appends since the last fsync
 	rng       uint64
-	// Group-commit scratch (PutBatch): the encoded-records buffer and the
-	// filtered key/value views, reused across batches.
-	batchBuf    []byte
-	batchKeys   []uint64
-	batchVals   []V
+	// recBuf is the framed-records scratch of Put and PutBatch, reused
+	// across commits.
+	recBuf      []byte
 	loaded      uint64
 	appended    uint64
 	corrupt     uint64
@@ -337,12 +335,13 @@ func (d *Disk[V]) Dir() string { return d.dir }
 // was loaded at open).
 func (d *Disk[V]) Get(key uint64) (V, bool) { return d.memo.Get(key) }
 
-// Put implements Store: index the value and append one durable record.
-// Re-puts of a resident key are dropped (values are deterministic, so the
-// record on disk is already correct) — merges and racing workers cannot
-// bloat the store. An append that fails after exhausting retries demotes
-// the store to its in-memory tier: the run continues correct, with one
-// warning, and every later Put is counted as unpersisted.
+// Put implements Store: index the value and append one durable record —
+// PutBatch with a single record. Re-puts of a resident key are dropped
+// (values are deterministic, so the record on disk is already correct) —
+// merges and racing workers cannot bloat the store. An append that fails
+// after exhausting retries demotes the store to its in-memory tier: the
+// run continues correct, with one warning, and every later Put is counted
+// as unpersisted.
 func (d *Disk[V]) Put(key uint64, v V) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -350,17 +349,11 @@ func (d *Disk[V]) Put(key uint64, v V) {
 		return
 	}
 	d.memo.Put(key, v)
-	if d.degraded {
-		d.unpersisted++
-		return
-	}
-	if err := d.append(key, v); err != nil {
-		d.unpersisted++
-		d.degradeLocked(fmt.Errorf("resultstore: %s: append failed: %w", d.dir, err))
-	}
+	buf, err := d.frameRecord(d.recBuf[:0], key, v)
+	d.commitLocked(buf, 1, err)
 }
 
-// PutBatch is the group-commit append path: it indexes and persists
+// PutBatch is the group-commit form of Put: it indexes and persists
 // len(keys) records through one lock acquisition, one encoded buffer, one
 // write syscall and one retry/rotation/sync-cadence decision — where N
 // single Puts would pay each of those N times. Semantics match N Puts
@@ -377,27 +370,19 @@ func (d *Disk[V]) PutBatch(keys []uint64, vals []V) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	nk, nv := d.batchKeys[:0], d.batchVals[:0]
-	for i, k := range keys {
-		if d.memo.Contains(k) {
+	buf, n := d.recBuf[:0], 0
+	var err error
+	for i, key := range keys {
+		if d.memo.Contains(key) {
 			continue
 		}
-		d.memo.Put(k, vals[i])
-		nk = append(nk, k)
-		nv = append(nv, vals[i])
+		d.memo.Put(key, vals[i])
+		n++
+		if err == nil {
+			buf, err = d.frameRecord(buf, key, vals[i])
+		}
 	}
-	d.batchKeys, d.batchVals = nk, nv
-	if len(nk) == 0 {
-		return
-	}
-	if d.degraded {
-		d.unpersisted += uint64(len(nk))
-		return
-	}
-	if err := d.appendBatch(nk, nv); err != nil {
-		d.unpersisted += uint64(len(nk))
-		d.degradeLocked(fmt.Errorf("resultstore: %s: batch append failed: %w", d.dir, err))
-	}
+	d.commitLocked(buf, n, err)
 }
 
 // GetOrCompute implements Store: a warm hit is one sharded memo read with
@@ -490,99 +475,69 @@ func (d *Disk[V]) createSegment() error {
 	}
 }
 
-// append writes one record to this process's segment, creating the segment
-// on first use. A failed or short write rotates to a fresh segment before
-// retrying — the torn tail left behind is exactly what the open scan
-// already absorbs, so a retry can never desync a segment that a crash
-// would later replay. Callers hold d.mu.
-func (d *Disk[V]) append(key uint64, v V) error {
-	rec := make([]byte, 0, recHeaderLen+recSumLen+64)
-	rec = binary.LittleEndian.AppendUint64(rec, key)
-	rec = append(rec, 0, 0, 0, 0) // payload length, patched below
-	rec = d.codec.Append(rec, v)
-	payloadLen := len(rec) - recHeaderLen
+// frameRecord frames one record onto buf: key, payload length, the
+// codec's payload and the checksum. Callers hold d.mu.
+func (d *Disk[V]) frameRecord(buf []byte, key uint64, v V) ([]byte, error) {
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint64(buf, key)
+	buf = append(buf, 0, 0, 0, 0) // payload length, patched below
+	buf = d.codec.Append(buf, v)
+	payloadLen := len(buf) - start - recHeaderLen
 	if payloadLen > MaxPayload {
-		return fmt.Errorf("record payload %d bytes exceeds MaxPayload", payloadLen)
+		return buf[:start], fmt.Errorf("record payload %d bytes exceeds MaxPayload", payloadLen)
 	}
-	binary.LittleEndian.PutUint32(rec[8:], uint32(payloadLen))
-	rec = binary.LittleEndian.AppendUint64(rec, sumRecord(rec[:recHeaderLen+payloadLen]))
-	for attempt := 0; ; attempt++ {
-		if d.seg == nil {
-			if err := d.createSegment(); err != nil {
-				return err
-			}
-		}
-		// One Write call per record: either the whole record lands or the
-		// tail is torn, and the open scan discards torn tails.
-		n, err := d.seg.Write(rec)
-		d.diskBytes += int64(n)
-		if err == nil && n < len(rec) {
-			err = io.ErrShortWrite
-		}
-		if err == nil {
-			if attempt > 0 {
-				d.recovered++
-			}
-			d.appended++
-			d.sinceSync++
-			if d.syncEvery > 0 && d.sinceSync >= d.syncEvery {
-				if serr := d.syncLocked(); serr != nil {
-					return serr
-				}
-			}
-			return nil
-		}
-		// This segment may now carry a torn tail; rotate before any retry.
-		d.seg.Close()
-		d.seg = nil
-		if !transientErr(err) || attempt >= d.maxRetries {
-			return err
-		}
-		d.retries++
-		d.sleep(d.backoffFor(attempt))
+	binary.LittleEndian.PutUint32(buf[start+8:], uint32(payloadLen))
+	return binary.LittleEndian.AppendUint64(buf, sumRecord(buf[start:start+recHeaderLen+payloadLen])), nil
+}
+
+// commitLocked persists the n records just indexed by Put or PutBatch,
+// framed back to back in buf (err is the first framing failure, if any).
+// A degraded store, or a commit whose framing or write fails, counts all
+// n as unpersisted; a failure degrades the store. Callers hold d.mu.
+func (d *Disk[V]) commitLocked(buf []byte, n int, err error) {
+	d.recBuf = buf[:0] // keep the grown capacity for the next commit
+	if n == 0 {
+		return
+	}
+	if d.degraded {
+		d.unpersisted += uint64(n)
+		return
+	}
+	if err == nil {
+		err = d.writeLocked(buf, n)
+	}
+	if err != nil {
+		d.unpersisted += uint64(n)
+		d.degradeLocked(fmt.Errorf("resultstore: %s: append failed: %w", d.dir, err))
 	}
 }
 
-// appendBatch encodes every record into one contiguous buffer and lands it
-// with a single Write call — the group-commit counterpart of append. A
-// failed or short write rotates to a fresh segment and retries the whole
-// batch there, exactly like append's per-record retry: the torn tail left
-// behind holds only whole-record prefixes plus at most one torn record,
-// which the open scan already absorbs. The sync cadence is checked once
-// for the batch. Callers hold d.mu.
-func (d *Disk[V]) appendBatch(keys []uint64, vals []V) error {
-	buf := d.batchBuf[:0]
-	for i, key := range keys {
-		start := len(buf)
-		buf = binary.LittleEndian.AppendUint64(buf, key)
-		buf = append(buf, 0, 0, 0, 0) // payload length, patched below
-		buf = d.codec.Append(buf, vals[i])
-		payloadLen := len(buf) - start - recHeaderLen
-		if payloadLen > MaxPayload {
-			d.batchBuf = buf[:0]
-			return fmt.Errorf("record payload %d bytes exceeds MaxPayload", payloadLen)
-		}
-		binary.LittleEndian.PutUint32(buf[start+8:], uint32(payloadLen))
-		buf = binary.LittleEndian.AppendUint64(buf, sumRecord(buf[start:start+recHeaderLen+payloadLen]))
-	}
-	d.batchBuf = buf // keep the grown capacity for the next batch
+// writeLocked lands n framed records with a single Write call to this
+// process's segment, creating the segment on first use: either every
+// record lands or the tail is torn, and the open scan discards torn tails.
+// A failed or short write rotates to a fresh segment and retries the whole
+// buffer there — the torn tail left behind holds only whole-record
+// prefixes plus at most one torn record, which the open scan already
+// absorbs, so a retry can never desync a segment that a crash would later
+// replay. The sync cadence is checked once per write. Callers hold d.mu.
+func (d *Disk[V]) writeLocked(buf []byte, n int) error {
 	for attempt := 0; ; attempt++ {
 		if d.seg == nil {
 			if err := d.createSegment(); err != nil {
 				return err
 			}
 		}
-		n, err := d.seg.Write(buf)
-		d.diskBytes += int64(n)
-		if err == nil && n < len(buf) {
+		w, err := d.seg.Write(buf)
+		d.diskBytes += int64(w)
+		if err == nil && w < len(buf) {
 			err = io.ErrShortWrite
 		}
 		if err == nil {
 			if attempt > 0 {
 				d.recovered++
 			}
-			d.appended += uint64(len(keys))
-			d.sinceSync += len(keys)
+			d.appended += uint64(n)
+			d.sinceSync += n
 			if d.syncEvery > 0 && d.sinceSync >= d.syncEvery {
 				if serr := d.syncLocked(); serr != nil {
 					return serr
@@ -631,15 +586,6 @@ func (d *Disk[V]) Sync() error {
 	}
 	return err
 }
-
-// Len implements Store.
-func (d *Disk[V]) Len() int { return d.memo.Len() }
-
-// Hits implements Store.
-func (d *Disk[V]) Hits() uint64 { return d.memo.Hits() }
-
-// Misses implements Store.
-func (d *Disk[V]) Misses() uint64 { return d.memo.Misses() }
 
 // Stats implements Store.
 func (d *Disk[V]) Stats() Stats {

@@ -70,8 +70,8 @@ func TestDiskRoundTrip(t *testing.T) {
 			t.Fatalf("Get(%d) = %d, %t", k, v, ok)
 		}
 	}
-	if d2.Hits() != 100 || d2.Misses() != 0 {
-		t.Fatalf("hits/misses = %d/%d, want 100/0", d2.Hits(), d2.Misses())
+	if d2.Stats().Hits != 100 || d2.Stats().Misses != 0 {
+		t.Fatalf("hits/misses = %d/%d, want 100/0", d2.Stats().Hits, d2.Stats().Misses)
 	}
 	if warn.Len() != 0 {
 		t.Fatalf("unexpected warnings: %s", warn.String())
@@ -131,6 +131,38 @@ func TestPutBatchMatchesPutBytes(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("batched segment differs from put-by-put segment: %d vs %d bytes", len(b), len(a))
+	}
+}
+
+// TestSinglePutEqualsPutBatch: Put is a one-record PutBatch — one Put and
+// a one-record PutBatch on fresh stores write byte-identical segments.
+func TestSinglePutEqualsPutBatch(t *testing.T) {
+	var warn bytes.Buffer
+	var segs [2][]byte
+	for i, put := range []func(d *Disk[uint64]){
+		func(d *Disk[uint64]) { d.Put(5, 15) },
+		func(d *Disk[uint64]) { d.PutBatch([]uint64{5}, []uint64{15}) },
+	} {
+		dir := t.TempDir()
+		d := openTest(t, dir, &warn)
+		put(d)
+		if st := d.Stats(); st.Appended != 1 || st.Entries != 1 {
+			t.Fatalf("path %d stats = %+v, want 1 appended entry", i, st)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(segPath(t, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs[i] = b
+	}
+	if !bytes.Equal(segs[0], segs[1]) {
+		t.Fatalf("one-record PutBatch segment differs from Put's:\n%x\n%x", segs[1], segs[0])
+	}
+	if warn.Len() != 0 {
+		t.Fatalf("unexpected warnings: %s", warn.String())
 	}
 }
 
@@ -430,8 +462,8 @@ func TestMergeUnionsStores(t *testing.T) {
 	if err := Merge[uint64](dst, u64Codec{}, dirs, WithWarnWriter(&warn)); err != nil {
 		t.Fatal(err)
 	}
-	if dst.Len() != 10 {
-		t.Fatalf("merged %d entries, want 10", dst.Len())
+	if dst.Stats().Entries != 10 {
+		t.Fatalf("merged %d entries, want 10", dst.Stats().Entries)
 	}
 	for k := uint64(0); k < 10; k++ {
 		if v, ok := dst.Get(k); !ok || v != k*7 {
@@ -478,7 +510,7 @@ func TestNilMemIsAlwaysMissStore(t *testing.T) {
 	if _, ok := st.Get(1); ok {
 		t.Fatal("nil store returned a value")
 	}
-	if st.Len() != 0 || st.Hits() != 0 || st.Misses() != 0 {
+	if st.Stats().Entries != 0 || st.Stats().Hits != 0 || st.Stats().Misses != 0 {
 		t.Fatal("nil store reports non-zero counters")
 	}
 	if (st.Stats() != Stats{}) {
@@ -561,8 +593,8 @@ func TestMemGetOrCompute(t *testing.T) {
 	if err != nil || v != 10 || calls != 1 {
 		t.Fatalf("warm: v=%d err=%v calls=%d (compute ran on a warm key)", v, err, calls)
 	}
-	if m.Hits() != 1 || m.Misses() != 1 {
-		t.Fatalf("hits/misses = %d/%d, want 1/1", m.Hits(), m.Misses())
+	if m.Stats().Hits != 1 || m.Stats().Misses != 1 {
+		t.Fatalf("hits/misses = %d/%d, want 1/1", m.Stats().Hits, m.Stats().Misses)
 	}
 
 	sentinel := fmt.Errorf("compute failed")

@@ -42,13 +42,8 @@ type Store[V any] interface {
 	// that must guarantee exactly-one computation (the serving daemon)
 	// wrap this in a singleflight. A compute error is returned unstored.
 	GetOrCompute(key uint64, compute func() (V, error)) (V, error)
-	// Len returns the number of distinct keys resident.
-	Len() int
-	// Hits and Misses audit Get outcomes.
-	Hits() uint64
-	Misses() uint64
-	// Stats returns the full counter snapshot, including the disk-tier
-	// counters (zero for purely in-memory stores).
+	// Stats returns the counter snapshot — Get outcomes, resident keys and
+	// the disk-tier counters (zero for purely in-memory stores).
 	Stats() Stats
 	// Close flushes and releases any durable resources; in-memory stores
 	// return nil. A Store must not be used after Close.
@@ -145,30 +140,6 @@ func (m *Mem[V]) GetOrCompute(key uint64, compute func() (V, error)) (V, error) 
 	}
 	m.memo.Put(key, v)
 	return v, nil
-}
-
-// Len implements Store.
-func (m *Mem[V]) Len() int {
-	if m == nil {
-		return 0
-	}
-	return m.memo.Len()
-}
-
-// Hits implements Store.
-func (m *Mem[V]) Hits() uint64 {
-	if m == nil {
-		return 0
-	}
-	return m.memo.Hits()
-}
-
-// Misses implements Store.
-func (m *Mem[V]) Misses() uint64 {
-	if m == nil {
-		return 0
-	}
-	return m.memo.Misses()
 }
 
 // Stats implements Store; the disk-tier counters stay zero except for

@@ -231,9 +231,9 @@ func (s *Scheduler) pickLocal(c *cpuRun) *Task {
 //     (load ≤ best, or equal with a higher id) is skipped without touching
 //     its heaps — queue depth bounds affinity-filtered load from above.
 //
-// Visit order differs from the retired StealOrder table (which put SMT
-// siblings before LLC mates), but the pick is a total order over victims and
-// tasks, so any traversal order yields the identical steal.
+// Visit order differs from a nearest-first walk (SMT siblings before LLC
+// mates), but the pick is a total order over victims and tasks, so any
+// traversal order yields the identical steal.
 func (s *Scheduler) steal(c *cpuRun) *Task {
 	// The bail-out lives in this small wrapper so the common miss (steal
 	// runs on an idle CPU, usually with nothing queued anywhere) never

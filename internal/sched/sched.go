@@ -355,8 +355,8 @@ func (s *Scheduler) Reset(cfg Config) {
 func (s *Scheduler) carveHeap() []rqEntry {
 	const carve = 8
 	if len(s.heapBack) < carve {
-		// First slab covers all CPUs; refills (3+ partitions per CPU, or
-		// literal-constructed tiny topologies) use a fixed chunk.
+		// First slab covers all CPUs; refills (3+ partitions per CPU, or tiny
+		// topologies) use a fixed chunk.
 		n := carve * len(s.cpus)
 		if n < 128 {
 			n = 128

@@ -15,7 +15,7 @@ import (
 // throughput ceiling; the pinservd -selftest load gate measures the same
 // path through a real listener.
 func BenchmarkServeWarm(b *testing.B) {
-	s := NewServer(Options{Config: experiments.Config{Quick: true, Reps: 2, Seed: 42, Workers: 1}})
+	s := NewServer(Options{Config: experiments.Config{Quick: true, Reps: 2, Seed: 42, Executor: experiments.Pool{Workers: 1}}})
 	const body = `{"name":"fig3"}`
 	w := httptest.NewRecorder()
 	s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(body)))

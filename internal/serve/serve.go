@@ -55,7 +55,7 @@ func (e badRequestError) Unwrap() error { return e.err }
 
 // Options configures a Server.
 type Options struct {
-	// Config is the run template: Quick/Reps/Seed/Host/Workers defaults and
+	// Config is the run template: Quick/Reps/Seed/Host/Executor defaults and
 	// the shared trial store (Memo). A nil Memo is replaced with a fresh
 	// in-memory store so the daemon always memoizes across requests.
 	Config experiments.Config

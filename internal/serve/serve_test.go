@@ -22,7 +22,7 @@ func newTestServer(t *testing.T, o Options) *Server {
 	o.Config.Quick = true
 	o.Config.Reps = 2
 	o.Config.Seed = 42
-	o.Config.Workers = 1
+	o.Config.Executor = experiments.Pool{Workers: 1}
 	return NewServer(o)
 }
 
@@ -134,10 +134,10 @@ func TestCoalescing(t *testing.T) {
 	// The store's misses count trials actually simulated: a second figure
 	// run would have doubled it. One quick fig3 run = series×cells×reps
 	// misses, all from the single leader.
-	if st.Hits() != 0 {
-		t.Fatalf("store hits = %d, want 0 (every trial simulated once)", st.Hits())
+	if st.Stats().Hits != 0 {
+		t.Fatalf("store hits = %d, want 0 (every trial simulated once)", st.Stats().Hits)
 	}
-	missesAfterOne := st.Misses()
+	missesAfterOne := st.Stats().Misses
 	if missesAfterOne == 0 {
 		t.Fatal("store recorded no trial misses")
 	}
@@ -145,7 +145,7 @@ func TestCoalescing(t *testing.T) {
 	if w := post(t, s, `{"name":"fig3"}`); w.Header().Get(SourceHeader) != "warm" {
 		t.Fatalf("post-flight source = %q", w.Header().Get(SourceHeader))
 	}
-	if st.Misses() != missesAfterOne {
+	if st.Stats().Misses != missesAfterOne {
 		t.Fatal("warm request touched the trial store")
 	}
 }

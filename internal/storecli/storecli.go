@@ -35,15 +35,13 @@ type Options struct {
 	// Degraded is the -store-degraded policy for an unusable store
 	// directory: DegradedFail ("" or "fail") or DegradedAllow ("allow").
 	Degraded string
-	// Workers is the CLI -workers value, carried into the shard's inner
-	// pool (the default pool reads it from Config.Workers directly).
-	Workers int
 	// Verbose prints the store statistics line at finish.
 	Verbose bool
 }
 
 // Apply opens the store (or an in-memory memo when only -merge/-v need
-// one), loads merged stores, and installs the shard executor. It reports
+// one), loads merged stores, and wraps cfg.Executor in the shard executor
+// (nil runs the shard on Pool{}). It reports
 // whether the run is sharded — sharded runs should not render their
 // partial figures — and returns a finish func to defer: it prints the -v
 // statistics line (prefixed "prog: ") and closes the store.
@@ -75,7 +73,7 @@ func Apply(prog string, cfg *experiments.Config, o Options) (sharded bool, finis
 		if err != nil {
 			return false, nil, err
 		}
-		cfg.Executor = experiments.Shard{Index: idx, Count: count, Inner: experiments.Pool{Workers: o.Workers}}
+		cfg.Executor = experiments.Shard{Index: idx, Count: count, Inner: cfg.Executor}
 		if o.Store == "" {
 			fmt.Fprintf(os.Stderr, "%s: warning: -shard without -store discards the shard's results when the process exits\n", prog)
 		}

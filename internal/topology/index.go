@@ -6,20 +6,17 @@ import (
 )
 
 // Index is the precomputed lookup side of a Topology: per-CPU sibling lists,
-// socket/core tables, the full CPU→CPU distance matrix and nearest-first
-// steal-domain orders. It exists so per-dispatch scheduler paths (SMT
-// contention checks, idle balancing, migration-cost classification) read
-// flat arrays instead of re-deriving division/modulo arithmetic or walking
-// CPUSet iterators with callback closures.
+// socket/core tables and the full CPU→CPU distance matrix. It exists so
+// per-dispatch scheduler paths (SMT contention checks, idle balancing,
+// migration-cost classification) read flat arrays instead of re-deriving
+// division/modulo arithmetic or walking CPUSet iterators with callback
+// closures.
 //
-// Topologies built through New carry their Index from construction, so
-// sharing a *Topology across worker goroutines is safe. Literal-constructed
-// Topology values (tests, ad-hoc tools) build the Index on first use via
-// Topology.Index, which is NOT safe to race — construct through New anywhere
-// concurrency is involved.
+// New builds every Topology's Index before returning it, and an Index is
+// read-only after build, so sharing a *Topology across worker goroutines is
+// safe.
 type Index struct {
-	topo *Topology
-	n    int
+	n int
 
 	socketOf []int16 // logical CPU -> socket
 	coreOf   []int16 // logical CPU -> global physical core
@@ -31,13 +28,6 @@ type Index struct {
 	socketCPUs [][]int16
 	// dist is the flattened n×n distance matrix: dist[a*n+b].
 	dist []uint8
-	// stealOrder[cpu] lists every other CPU nearest-first: SMT siblings,
-	// then the rest of cpu's socket (its LLC/steal domain), then remote
-	// sockets in ascending socket order, ascending CPU id within each tier.
-	// It is O(n²) storage (2 MB at 1024 CPUs) and the scheduler's steal
-	// path no longer reads it, so it is built lazily behind a sync.Once.
-	stealOrder     [][]int16
-	stealOrderOnce sync.Once
 	// socketStart[s] is the first logical CPU id of socket s; sockets are
 	// contiguous id ranges in this enumeration.
 	socketStart []int16
@@ -47,7 +37,6 @@ type Index struct {
 func buildIndex(t *Topology) *Index {
 	n := t.NumCPUs()
 	ix := &Index{
-		topo:        t,
 		n:           n,
 		socketOf:    make([]int16, n),
 		coreOf:      make([]int16, n),
@@ -88,31 +77,6 @@ func buildIndex(t *Topology) *Index {
 	return ix
 }
 
-// buildStealOrder fills the lazy nearest-first steal-order table: siblings,
-// same-socket, then remote sockets, ascending within each tier.
-func (ix *Index) buildStealOrder() {
-	n, t := ix.n, ix.topo
-	ix.stealOrder = make([][]int16, n)
-	orderBack := make([]int16, 0, n*(n-1))
-	for c := 0; c < n; c++ {
-		ostart := len(orderBack)
-		orderBack = append(orderBack, ix.siblings[c]...)
-		mySock := int(ix.socketOf[c])
-		for _, o := range ix.socketCPUs[mySock] {
-			if int(o) != c && int(ix.coreOf[o]) != int(ix.coreOf[c]) {
-				orderBack = append(orderBack, o)
-			}
-		}
-		for s := 0; s < t.Sockets; s++ {
-			if s == mySock {
-				continue
-			}
-			orderBack = append(orderBack, ix.socketCPUs[s]...)
-		}
-		ix.stealOrder[c] = orderBack[ostart:len(orderBack):len(orderBack)]
-	}
-}
-
 // distanceSlow classifies distance from the raw tables (used while the
 // matrix is being filled).
 func (ix *Index) distanceSlow(a, b int) Distance {
@@ -148,16 +112,6 @@ func (ix *Index) SocketCPUs(socket int) []int16 { return ix.socketCPUs[socket] }
 // Distance returns the precomputed distance class between two CPUs.
 func (ix *Index) Distance(a, b int) Distance { return Distance(ix.dist[a*ix.n+b]) }
 
-// StealOrder returns every CPU other than cpu, nearest-first (SMT siblings,
-// then the same LLC/socket, then remote sockets). Shared; read-only. The
-// table is built on first call (safe to race: sync.Once) because it is
-// quadratic in CPUs and the scheduler's steal path now walks the queued-CPU
-// bitmask instead.
-func (ix *Index) StealOrder(cpu int) []int16 {
-	ix.stealOrderOnce.Do(ix.buildStealOrder)
-	return ix.stealOrder[cpu]
-}
-
 // SocketRange returns the half-open logical-CPU id range [lo, hi) of one
 // socket; sockets are contiguous id ranges in this enumeration.
 func (ix *Index) SocketRange(socket int) (lo, hi int) {
@@ -165,16 +119,15 @@ func (ix *Index) SocketRange(socket int) (lo, hi int) {
 	return lo, lo + len(ix.socketCPUs[socket])
 }
 
-// indexCache interns built Indexes by Topology.Fingerprint, so the
-// sibling/distance/steal-domain tables are computed once per host shape per
-// process no matter how many Topology instances describe that shape (guest
-// topologies per trial, per-request hosts in the advisor). Sharing is safe
-// because an Index is read-only after build — its only lazy member, the
-// steal-order table, hides behind a sync.Once — and every table derives
-// purely from the dimensions the fingerprint captures.
+// indexCache interns built Indexes by dimensions (sockets, cores per
+// socket, threads per core), so the sibling/distance tables are computed
+// once per host shape per process no matter how many Topology instances
+// describe that shape (guest topologies per trial, per-request hosts in the
+// advisor). Sharing is safe because an Index is read-only after build and
+// every table derives purely from those three dimensions.
 var (
 	indexCacheMu sync.Mutex
-	indexCache   = map[string]*Index{}
+	indexCache   = map[[3]int]*Index{}
 	indexHits    atomic.Uint64
 	indexMisses  atomic.Uint64
 )
@@ -183,7 +136,7 @@ var (
 // it on first sight. Same-shape builds serialize on the cache lock so a
 // concurrent herd of first-builds produces exactly one table set.
 func internIndex(t *Topology) *Index {
-	key := t.Fingerprint()
+	key := [3]int{t.Sockets, t.CoresPerSocket, t.ThreadsPerCore}
 	indexCacheMu.Lock()
 	ix, ok := indexCache[key]
 	if !ok {
@@ -200,19 +153,12 @@ func internIndex(t *Topology) *Index {
 }
 
 // IndexCacheStats reports the process-wide topology index cache counters:
-// how many Index builds were skipped by the fingerprint cache (hits) and how
-// many shapes were actually built (misses).
+// how many Index builds were skipped by the shape cache (hits) and how many
+// shapes were actually built (misses).
 func IndexCacheStats() (hits, misses uint64) {
 	return indexHits.Load(), indexMisses.Load()
 }
 
-// Index returns the topology's precomputed index, building it on first use.
-// Topologies from New are pre-indexed and therefore safe to share across
-// goroutines; a literal-constructed Topology builds lazily and must not race
-// its first Index call.
-func (t *Topology) Index() *Index {
-	if t.idx == nil {
-		t.idx = internIndex(t)
-	}
-	return t.idx
-}
+// Index returns the topology's precomputed index (nil for a Topology that
+// New did not build; Validate rejects those).
+func (t *Topology) Index() *Index { return t.idx }

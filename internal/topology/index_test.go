@@ -82,58 +82,43 @@ func TestIndexMatchesDerivations(t *testing.T) {
 	}
 }
 
-// TestIndexStealOrder checks every steal order is a nearest-first
-// permutation of all other CPUs: distances are non-decreasing along the
-// walk and ids ascend within each distance tier.
-func TestIndexStealOrder(t *testing.T) {
-	for _, topo := range indexTopos(t) {
-		ix := topo.Index()
-		n := topo.NumCPUs()
-		for c := 0; c < n; c++ {
-			order := ix.StealOrder(c)
-			if len(order) != n-1 {
-				t.Fatalf("%v: stealOrder(%d) covers %d CPUs, want %d", topo, c, len(order), n-1)
-			}
-			seen := map[int]bool{c: true}
-			prev := Distance(-1)
-			prevID := -1
-			for _, o16 := range order {
-				o := int(o16)
-				if seen[o] {
-					t.Fatalf("%v: stealOrder(%d) repeats %d", topo, c, o)
-				}
-				seen[o] = true
-				d := ix.Distance(c, o)
-				if d < prev {
-					t.Fatalf("%v: stealOrder(%d) distance regressed at %d (%v after %v)", topo, c, o, d, prev)
-				}
-				if d == prev && o < prevID {
-					t.Fatalf("%v: stealOrder(%d) ids not ascending within tier at %d", topo, c, o)
-				}
-				prev, prevID = d, o
-			}
-		}
+// TestValidateRejectsLiteral: a literal Topology with valid dimensions has
+// no index, so Validate refuses it instead of letting a lookup dereference
+// nil; the same dimensions through New validate.
+func TestValidateRejectsLiteral(t *testing.T) {
+	lit := &Topology{Name: "lit", Sockets: 2, CoresPerSocket: 2, ThreadsPerCore: 2}
+	if err := lit.Validate(); err == nil {
+		t.Fatal("literal topology validated")
+	}
+	built, err := New("lit", 2, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := built.Validate(); err != nil {
+		t.Fatalf("New-built topology: %v", err)
 	}
 }
 
-// TestIndexLazyBuildOnLiteral: a literal Topology (no New) still answers
-// through the slow paths and builds its index on demand.
-func TestIndexLazyBuildOnLiteral(t *testing.T) {
-	topo := &Topology{Name: "lit", Sockets: 2, CoresPerSocket: 2, ThreadsPerCore: 2}
-	if topo.idx != nil {
-		t.Fatal("literal topology must start unindexed")
+// TestIndexInternedByShape: topologies that share dimensions share one
+// Index whatever their name, LLC size or clock.
+func TestIndexInternedByShape(t *testing.T) {
+	a, err := New("guest-a", 1, 3, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d := topo.DistanceBetween(0, 1); d != SMTSibling {
-		t.Fatalf("slow-path distance %v", d)
+	b, err := New("guest-b", 1, 3, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s := topo.Socket(5); s != 1 {
-		t.Fatalf("slow-path socket %d", s)
+	b.LLCMB, b.ClockGHz = 12, 3.1
+	if a.Index() != b.Index() {
+		t.Fatal("same-shape topologies built separate indexes")
 	}
-	ix := topo.Index()
-	if ix == nil || topo.idx == nil {
-		t.Fatal("Index() must build lazily")
+	c, err := New("guest-a", 1, 3, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d := topo.DistanceBetween(0, 1); d != SMTSibling {
-		t.Fatalf("indexed distance %v", d)
+	if c.Index() == a.Index() {
+		t.Fatal("different shapes share an index")
 	}
 }

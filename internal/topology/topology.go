@@ -49,8 +49,7 @@ type Topology struct {
 	// ClockGHz is the nominal core clock; informational.
 	ClockGHz float64
 
-	// idx is the precomputed lookup index (see index.go). New builds it
-	// eagerly; literal-constructed topologies get it lazily via Index().
+	// idx is the precomputed lookup index (see index.go), built by New.
 	idx *Index
 }
 
@@ -64,20 +63,31 @@ func New(name string, sockets, coresPerSocket, threadsPerCore int) (*Topology, e
 		LLCMB:          35,
 		ClockGHz:       1.8,
 	}
-	if err := t.Validate(); err != nil {
+	if err := t.validateDims(); err != nil {
 		return nil, err
 	}
-	// Pre-resolve the index here, before the topology can be shared: lazy
-	// builds on a *Topology* used by several worker goroutines would race.
-	// The process-wide fingerprint cache makes repeat constructions of one
-	// shape (guest topologies, per-request hosts) a map lookup, not an
-	// O(cpus²) table build.
+	// The process-wide shape cache makes repeat constructions of one shape
+	// (guest topologies, per-request hosts) a map lookup, not an O(cpus²)
+	// table build.
 	t.idx = internIndex(t)
 	return t, nil
 }
 
-// Validate checks structural sanity.
+// Validate checks structural sanity and that t was built by New: every
+// lookup reads the index New builds.
 func (t *Topology) Validate() error {
+	if err := t.validateDims(); err != nil {
+		return err
+	}
+	if t.idx == nil {
+		return fmt.Errorf("topology %q: not built by topology.New (no index)", t.Name)
+	}
+	return nil
+}
+
+// validateDims checks that every dimension is positive and the CPU count
+// fits a CPUSet.
+func (t *Topology) validateDims() error {
 	if t.Sockets <= 0 || t.CoresPerSocket <= 0 || t.ThreadsPerCore <= 0 {
 		return fmt.Errorf("topology %q: all dimensions must be positive (got %d×%d×%d)",
 			t.Name, t.Sockets, t.CoresPerSocket, t.ThreadsPerCore)
@@ -98,12 +108,7 @@ func (t *Topology) NumPhysicalCores() int { return t.Sockets * t.CoresPerSocket 
 func (t *Topology) AllCPUs() CPUSet { return Range(0, t.NumCPUs()-1) }
 
 // Socket returns the socket index of a logical CPU.
-func (t *Topology) Socket(cpu int) int {
-	if ix := t.idx; ix != nil && cpu >= 0 && cpu < ix.n {
-		return int(ix.socketOf[cpu])
-	}
-	return cpu / (t.CoresPerSocket * t.ThreadsPerCore)
-}
+func (t *Topology) Socket(cpu int) int { return int(t.idx.socketOf[cpu]) }
 
 // PhysicalCore returns the global physical-core index of a logical CPU.
 func (t *Topology) PhysicalCore(cpu int) int { return cpu / t.ThreadsPerCore }
@@ -127,21 +132,7 @@ func (t *Topology) SocketCPUs(socket int) CPUSet {
 }
 
 // DistanceBetween classifies the distance between two logical CPUs.
-func (t *Topology) DistanceBetween(a, b int) Distance {
-	if ix := t.idx; ix != nil && a >= 0 && b >= 0 && a < ix.n && b < ix.n {
-		return Distance(ix.dist[a*ix.n+b])
-	}
-	switch {
-	case a == b:
-		return SameCPU
-	case t.PhysicalCore(a) == t.PhysicalCore(b):
-		return SMTSibling
-	case t.Socket(a) == t.Socket(b):
-		return SameSocket
-	default:
-		return CrossSocket
-	}
-}
+func (t *Topology) DistanceBetween(a, b int) Distance { return t.idx.Distance(a, b) }
 
 // SocketsSpanned returns how many distinct sockets the set touches.
 func (t *Topology) SocketsSpanned(s CPUSet) int {

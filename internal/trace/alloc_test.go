@@ -54,7 +54,7 @@ func TestCollectorHandleZeroAllocSteadyState(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Collector.handle allocates %v per full event cycle, want 0", n)
 	}
-	if col.Events() == 0 || col.Throttles()["g"] == 0 {
+	if col.Events() == 0 || col.ThrottleCount("g") == 0 {
 		t.Fatal("events must have been consumed")
 	}
 }
@@ -115,10 +115,10 @@ func TestCollectorResetReuseZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, run); n != 0 {
 		t.Fatalf("Reset+rerun allocates %v per run, want 0", n)
 	}
-	if col.Events() == 0 || col.OnCPU["web"].Count() == 0 {
+	if col.Events() == 0 || col.OnCPUHist("web").Count() == 0 {
 		t.Fatal("reused collector must still collect")
 	}
-	if col.Throttles()["g"] == 0 {
+	if col.ThrottleCount("g") == 0 {
 		t.Fatal("reused collector must still count throttles")
 	}
 }
@@ -140,7 +140,7 @@ func TestCollectorKeyFnCalledOncePerTask(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("KeyFn ran %d times, want exactly 1 (interned per task)", calls)
 	}
-	if col.OnCPU["once"] == nil || col.OnCPU["once"].Count() == 0 {
+	if col.OnCPUHist("once") == nil || col.OnCPUHist("once").Count() == 0 {
 		t.Fatal("interned key must still collect samples")
 	}
 }
@@ -158,30 +158,32 @@ func TestBlockKindTableCoversEnum(t *testing.T) {
 	}
 }
 
-// TestCollectorViewsShareFastPathHists: the exported maps are views over
-// the interned tables — the same *Hist the fast path records into.
+// TestCollectorViewsShareFastPathHists: the accessors read the interned
+// tables — the same *Hist the fast path records into.
 func TestCollectorViewsShareFastPathHists(t *testing.T) {
 	col, tasks := traceRig()
 	var at sim.Time
 	allKindEvents(col, tasks[0], &at)
 	key := "web"
-	before := col.OnCPU[key].Count()
+	before := col.OnCPUHist(key).Count()
 	if before == 0 {
 		t.Fatal("cpudist view empty")
 	}
 	allKindEvents(col, tasks[0], &at)
-	if col.OnCPU[key].Count() <= before {
-		t.Fatal("exported view must track fast-path records")
+	if col.OnCPUHist(key).Count() <= before {
+		t.Fatal("cpudist accessor must track fast-path records")
 	}
 	for _, reason := range []sched.BlockKind{sched.BlockIO, sched.BlockRecv, sched.BlockSleep} {
-		if col.OffCPU[key][reason] == nil || col.OffCPU[key][reason].Count() == 0 {
+		if h := col.OffCPUHist(key, reason); h == nil || h.Count() == 0 {
 			t.Fatalf("offcputime[%v] view missing", reason)
 		}
 	}
-	if col.RunqLatency[key] == nil || col.RunqLatency[key].Count() == 0 {
+	if h := col.RunqHist(key); h == nil || h.Count() == 0 {
 		t.Fatal("runqlat view missing")
 	}
-	if len(col.CPUBusy()) != 1 {
-		t.Fatalf("cpu busy CPUs = %v, want exactly cpu2", col.CPUBusy())
+	var busyCPUs []int
+	col.VisitCPUBusy(func(cpu int, _ sim.Time) { busyCPUs = append(busyCPUs, cpu) })
+	if len(busyCPUs) != 1 || busyCPUs[0] != 2 {
+		t.Fatalf("cpu busy CPUs = %v, want exactly cpu2", busyCPUs)
 	}
 }

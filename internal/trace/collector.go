@@ -56,12 +56,15 @@ type taskTrack struct {
 	wokenAt      sim.Time
 	hasWake      bool
 
-	on   *Hist // cached OnCPU[key]
-	runq *Hist // cached RunqLatency[key]
+	on   *Hist // cached slots[keyID].on
+	runq *Hist // cached slots[keyID].runq
 	off  [nBlockKinds]*Hist
 }
 
-// keySlot is the per-key histogram table, indexed by interned key id.
+// keySlot is the per-key histogram table, indexed by interned key id: on
+// is cpudist (time on a CPU per scheduling interval), off is offcputime per
+// block reason (time off the CPU between two run intervals), runq is
+// runqlat (delay from a wakeup to the woken task's next dispatch).
 type keySlot struct {
 	on   *Hist
 	runq *Hist
@@ -75,21 +78,10 @@ type keySlot struct {
 // Internally the collector is allocation-free in steady state: keys are
 // interned to dense ids once per task, histograms live in pooled slabs and
 // are addressed through slice tables, and per-CPU busy time is a flat
-// array. The exported maps below are views populated at intern time (they
-// hold the same *Hist pointers the fast path records into), so existing
-// consumers keep working unchanged.
+// array. Readers go through OnCPUHist/OffCPUHist/RunqHist, Keys,
+// ThrottleCount and the Visit* methods, which read those tables directly.
 type Collector struct {
 	Key KeyFn
-
-	// OnCPU is cpudist: per key, the distribution of times spent on a CPU
-	// per scheduling interval.
-	OnCPU map[string]*Hist
-	// OffCPU is offcputime: per key and block reason, the distribution of
-	// times spent off the CPU between two run intervals.
-	OffCPU map[string]map[sched.BlockKind]*Hist
-	// RunqLatency is runqlat: the delay between a wakeup and the next
-	// dispatch of the woken task.
-	RunqLatency map[string]*Hist
 
 	keyIDs map[string]uint32
 	keys   []string  // key id -> key string
@@ -172,13 +164,10 @@ func NewCollector(key KeyFn) *Collector {
 		key = DefaultKey
 	}
 	return &Collector{
-		Key:         key,
-		OnCPU:       make(map[string]*Hist),
-		OffCPU:      make(map[string]map[sched.BlockKind]*Hist),
-		RunqLatency: make(map[string]*Hist),
-		keyIDs:      make(map[string]uint32),
-		trackOf:     make(map[*sched.Task]*taskTrack),
-		throttles:   make(map[string]uint64),
+		Key:       key,
+		keyIDs:    make(map[string]uint32),
+		trackOf:   make(map[*sched.Task]*taskTrack),
+		throttles: make(map[string]uint64),
 	}
 }
 
@@ -186,11 +175,11 @@ func NewCollector(key KeyFn) *Collector {
 func (c *Collector) Fn() sched.TraceFn { return c.handle }
 
 // Reset clears all collected samples and per-task state in place so the
-// collector can instrument another run. Interned keys, their histograms and
-// the exported map views survive (histograms are zeroed, not replaced, so
-// held *Hist pointers stay valid); per-task tracks are recycled. A collector
-// reused across a sweep of runs reaches a steady state where a whole run —
-// tracking, recording and extraction — allocates nothing.
+// collector can instrument another run. Interned keys and their histograms
+// survive (histograms are zeroed, not replaced, so held *Hist pointers stay
+// valid); per-task tracks are recycled. A collector reused across a sweep
+// of runs reaches a steady state where a whole run — tracking, recording
+// and extraction — allocates nothing.
 func (c *Collector) Reset() {
 	for tk, tr := range c.trackOf {
 		c.freeTracks = append(c.freeTracks, tr)
@@ -227,28 +216,33 @@ func (c *Collector) Events() uint64 { return c.events }
 // Span returns the time range covered by the consumed events.
 func (c *Collector) Span() (first, last sim.Time) { return c.first, c.last }
 
-// Throttles returns per-group throttle counts observed in the stream.
-func (c *Collector) Throttles() map[string]uint64 {
-	out := make(map[string]uint64, len(c.throttles))
-	for k, v := range c.throttles {
-		out[k] = v
+// Keys returns every interned key in first-seen order. Shared; read-only.
+func (c *Collector) Keys() []string { return c.keys }
+
+// OnCPUHist returns key's cpudist histogram (nil if key never ran).
+func (c *Collector) OnCPUHist(key string) *Hist { return c.slot(key).on }
+
+// OffCPUHist returns key's offcputime histogram for one block reason (nil
+// if key never went off-CPU for that reason).
+func (c *Collector) OffCPUHist(key string, r sched.BlockKind) *Hist { return c.slot(key).off[r] }
+
+// RunqHist returns key's runqlat histogram (nil if key was never woken and
+// then dispatched).
+func (c *Collector) RunqHist(key string) *Hist { return c.slot(key).runq }
+
+// slot returns key's histogram table (empty for a key never interned).
+func (c *Collector) slot(key string) keySlot {
+	if id, ok := c.keyIDs[key]; ok {
+		return c.slots[id]
 	}
-	return out
+	return keySlot{}
 }
 
-// CPUBusy returns the accumulated on-CPU time per CPU id.
-func (c *Collector) CPUBusy() map[int]sim.Time {
-	out := make(map[int]sim.Time)
-	for id, touched := range c.cpuTouched {
-		if touched {
-			out[id] = c.cpuBusy[id]
-		}
-	}
-	return out
-}
+// ThrottleCount returns the throttles observed for one cgroup.
+func (c *Collector) ThrottleCount(group string) uint64 { return c.throttles[group] }
 
-// VisitCPUBusy calls f for each touched CPU in ascending id order: the
-// allocation-free form of CPUBusy for extraction loops.
+// VisitCPUBusy calls f with the accumulated on-CPU time of each touched CPU,
+// in ascending id order, without allocating.
 func (c *Collector) VisitCPUBusy(f func(cpu int, busy sim.Time)) {
 	for id, touched := range c.cpuTouched {
 		if touched {
@@ -258,7 +252,7 @@ func (c *Collector) VisitCPUBusy(f func(cpu int, busy sim.Time)) {
 }
 
 // VisitThrottles calls f for each group with observed throttles, in
-// unspecified order: the allocation-free form of Throttles.
+// unspecified order, without allocating.
 func (c *Collector) VisitThrottles(f func(group string, n uint64)) {
 	for g, n := range c.throttles {
 		f(g, n)
@@ -266,7 +260,7 @@ func (c *Collector) VisitThrottles(f func(group string, n uint64)) {
 }
 
 // internKey resolves a key string to its dense id, registering it (and its
-// exported-map view slots) on first sight.
+// histogram slot) on first sight.
 func (c *Collector) internKey(key string) uint32 {
 	if id, ok := c.keyIDs[key]; ok {
 		return id
@@ -308,7 +302,6 @@ func (c *Collector) onCPUHist(tr *taskTrack) *Hist {
 	slot := &c.slots[tr.keyID]
 	if slot.on == nil {
 		slot.on = c.hists.get()
-		c.OnCPU[c.keys[tr.keyID]] = slot.on
 	}
 	tr.on = slot.on
 	return slot.on
@@ -327,13 +320,6 @@ func (c *Collector) offCPUHist(tr *taskTrack, reason sched.BlockKind) *Hist {
 	slot := &c.slots[tr.keyID]
 	if slot.off[reason] == nil {
 		slot.off[reason] = c.hists.get()
-		key := c.keys[tr.keyID]
-		m := c.OffCPU[key]
-		if m == nil {
-			m = make(map[sched.BlockKind]*Hist)
-			c.OffCPU[key] = m
-		}
-		m[reason] = slot.off[reason]
 	}
 	tr.off[reason] = slot.off[reason]
 	return slot.off[reason]
@@ -346,7 +332,6 @@ func (c *Collector) runqHist(tr *taskTrack) *Hist {
 	slot := &c.slots[tr.keyID]
 	if slot.runq == nil {
 		slot.runq = c.hists.get()
-		c.RunqLatency[c.keys[tr.keyID]] = slot.runq
 	}
 	tr.runq = slot.runq
 	return slot.runq
@@ -423,7 +408,7 @@ func (c *Collector) Report(w io.Writer) {
 	keys := c.sortedKeys()
 	fmt.Fprintf(w, "== cpudist (on-CPU time per scheduling interval, usecs) ==\n")
 	for _, k := range keys {
-		if h := c.OnCPU[k]; h != nil && h.Count() > 0 {
+		if h := c.OnCPUHist(k); h != nil && h.Count() > 0 {
 			fmt.Fprintf(w, "\n[%s]\n", k)
 			h.Render(w, "usecs")
 		}
@@ -440,7 +425,7 @@ func (c *Collector) Report(w io.Writer) {
 	}
 	fmt.Fprintf(w, "\n== runqlat (wakeup-to-dispatch latency, usecs) ==\n")
 	for _, k := range keys {
-		if h := c.RunqLatency[k]; h != nil && h.Count() > 0 {
+		if h := c.RunqHist(k); h != nil && h.Count() > 0 {
 			fmt.Fprintf(w, "\n[%s]\n", k)
 			h.Render(w, "usecs")
 		}
@@ -481,11 +466,9 @@ func (c *Collector) reportUtilization(w io.Writer) {
 	}
 }
 
-// sortedKeys returns every interned key in sorted order. Keys are interned
-// exactly when a histogram view could exist for them, and the report loops
-// skip empty histograms, so the interned table replaces the old union of the
-// exported maps; the returned slice is collector-owned scratch, valid until
-// the next call.
+// sortedKeys returns every interned key in sorted order (the report loops
+// skip empty histograms); the returned slice is collector-owned scratch,
+// valid until the next call.
 func (c *Collector) sortedKeys() []string {
 	c.keyScratch = append(c.keyScratch[:0], c.keys...)
 	sort.Strings(c.keyScratch)
@@ -496,11 +479,7 @@ func (c *Collector) sortedKeys() []string {
 // key, in BlockKind order (the interned slot table is already ordered, so no
 // sort and no allocation).
 func (c *Collector) visitReasons(key string, f func(r sched.BlockKind, h *Hist)) {
-	id, ok := c.keyIDs[key]
-	if !ok {
-		return
-	}
-	for r, h := range c.slots[id].off {
+	for r, h := range c.slot(key).off {
 		if h != nil {
 			f(sched.BlockKind(r), h)
 		}

@@ -54,16 +54,16 @@ func TestCollectorBuildsInstruments(t *testing.T) {
 	if col.Events() == 0 {
 		t.Fatal("no trace events consumed")
 	}
-	host := col.OnCPU["host"]
+	host := col.OnCPUHist("host")
 	if host == nil || host.Count() == 0 {
 		t.Fatal("host cpudist empty")
 	}
-	web := col.OnCPU["web"]
+	web := col.OnCPUHist("web")
 	if web == nil || web.Count() == 0 {
 		t.Fatal("grouped cpudist empty")
 	}
 	// The web task blocks twice for IO: offcputime must hold IO intervals.
-	offWeb := col.OffCPU["web"][sched.BlockIO]
+	offWeb := col.OffCPUHist("web", sched.BlockIO)
 	if offWeb == nil || offWeb.Count() != 2 {
 		t.Fatalf("web IO off-cpu intervals: %+v", offWeb)
 	}
@@ -81,12 +81,12 @@ func TestCollectorBuildsInstruments(t *testing.T) {
 func TestCollectorCPUBusyMatchesOnCPU(t *testing.T) {
 	col := buildTraced(t)
 	var busy sim.Time
-	for _, d := range col.CPUBusy() {
-		busy += d
-	}
+	col.VisitCPUBusy(func(_ int, d sim.Time) { busy += d })
 	var on sim.Time
-	for _, h := range col.OnCPU {
-		on += h.Sum()
+	for _, k := range col.Keys() {
+		if h := col.OnCPUHist(k); h != nil {
+			on += h.Sum()
+		}
 	}
 	if busy != on {
 		t.Fatalf("per-CPU busy %v != sum of cpudist %v", busy, on)
@@ -117,7 +117,7 @@ func TestCollectorByTaskName(t *testing.T) {
 	m.Spawn(sched.TaskSpec{Name: "alpha", Program: sched.Sequence(sched.Compute(sim.Millisecond))}, 0)
 	m.Spawn(sched.TaskSpec{Name: "beta", Program: sched.Sequence(sched.Compute(sim.Millisecond))}, 0)
 	m.Run(0)
-	if col.OnCPU["alpha"] == nil || col.OnCPU["beta"] == nil {
+	if col.OnCPUHist("alpha") == nil || col.OnCPUHist("beta") == nil {
 		t.Fatal("task-name keying broken")
 	}
 }
@@ -141,7 +141,7 @@ func TestCollectorThrottleCounts(t *testing.T) {
 		}, 0)
 	}
 	m.Run(0)
-	if col.Throttles()["squeezed"] == 0 {
+	if col.ThrottleCount("squeezed") == 0 {
 		t.Fatal("no throttles observed in trace stream")
 	}
 	var buf bytes.Buffer
@@ -165,8 +165,10 @@ func TestDefaultKeyFallbacks(t *testing.T) {
 func TestCollectorRunqLatency(t *testing.T) {
 	col := buildTraced(t)
 	total := uint64(0)
-	for _, h := range col.RunqLatency {
-		total += h.Count()
+	for _, k := range col.Keys() {
+		if h := col.RunqHist(k); h != nil {
+			total += h.Count()
+		}
 	}
 	if total == 0 {
 		t.Fatal("no runqlat samples; IO wakeups must produce them")

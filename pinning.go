@@ -63,7 +63,7 @@ type (
 	TenantSpec = platform.TenantSpec
 
 	// ExperimentConfig controls figure regeneration, including the parallel
-	// trial fan-out (Workers), per-trial memoization (Memo) and the
+	// trial fan-out (Executor), per-trial memoization (Memo) and the
 	// long-run progress callback (Progress).
 	ExperimentConfig = experiments.Config
 	// Figure is a regenerated paper figure.
@@ -110,7 +110,7 @@ type (
 	// ExperimentConfig.Executor.
 	TrialExecutor = experiments.Executor
 	// PoolExecutor fans trials across an atomic-claim worker pool (the
-	// default, sized by ExperimentConfig.Workers).
+	// default when ExperimentConfig.Executor is nil).
 	PoolExecutor = experiments.Pool
 	// ShardExecutor deterministically partitions every trial grid so one
 	// experiment can run across N machines whose durable stores are merged
@@ -245,7 +245,7 @@ func LoadScenario(path string) (Scenario, error) { return experiments.LoadScenar
 
 // RunSweep runs a user-defined experiment grid through the parallel trial
 // runner (see cmd/pinsweep for the CLI form). Results are deterministic for
-// any ExperimentConfig.Workers setting.
+// any ExperimentConfig.Executor setting.
 func RunSweep(spec SweepSpec, cfg ExperimentConfig) (*SweepResult, error) {
 	return experiments.Sweep(cfg, spec)
 }

@@ -57,7 +57,7 @@ func TestFacadeRunFigure(t *testing.T) {
 
 func TestFacadeRunSweep(t *testing.T) {
 	memo := NewTrialMemo()
-	cfg := ExperimentConfig{Quick: true, Seed: 5, Workers: 4, Memo: memo}
+	cfg := ExperimentConfig{Quick: true, Seed: 5, Executor: PoolExecutor{Workers: 4}, Memo: memo}
 	spec := SweepSpec{
 		Platforms: []PlatformSpec{{Kind: CN, Mode: Pinned}, {Kind: BM, Mode: Vanilla}},
 		Cores:     []int{4},
@@ -71,13 +71,13 @@ func TestFacadeRunSweep(t *testing.T) {
 	if len(res.Cells) != 2 {
 		t.Fatalf("cells: %d", len(res.Cells))
 	}
-	if memo.Misses() != 4 {
-		t.Fatalf("memo misses: %d, want one per trial", memo.Misses())
+	if memo.Stats().Misses != 4 {
+		t.Fatalf("memo misses: %d, want one per trial", memo.Stats().Misses)
 	}
 	if _, err := RunSweep(spec, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if memo.Misses() != 4 {
+	if memo.Stats().Misses != 4 {
 		t.Fatal("repeat sweep must be served from the memo")
 	}
 }
