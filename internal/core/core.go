@@ -148,11 +148,13 @@ func Advise(p Profile, host *topology.Topology) Recommendation {
 			"if a VM must be used, do not bother pinning it — the virtualization tax is size-invariant PTO (best practice 3)")
 	case Parallel:
 		// Fig 4: containers are the worst platform for MPI; VMs approach
-		// bare metal once communication dominates.
+		// bare metal once communication dominates. The VM wins because its
+		// messages skip the container network namespace, not because its
+		// own message path is fast (finding vm-fastpath-gives-mpi-lead).
 		r.Platform = platform.VM
 		r.Mode = platform.Pinned
 		r.Rationale = append(r.Rationale,
-			"communication-dominated: the hypervisor's intra-VM fast path beats the container network namespace (Fig 4)",
+			"communication-dominated: intra-VM messages skip the container network-namespace path, the per-message cost that makes containers the slowest MPI platform (Fig 4)",
 			"avoid containers for MPI — pinning does not remove their per-message kernel-path cost")
 	case IOBound:
 		// BP4: pinned CN first; VMCN if pinning is not viable.

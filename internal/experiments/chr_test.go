@@ -54,7 +54,7 @@ func TestFig6LargeThrashes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("thrash regime is a long integration test")
 	}
-	large, err := RunFig6Large(Config{Quick: true, Reps: 1, Seed: 4})
+	large, err := RunRegistered("fig6-large", Config{Quick: true, Reps: 1, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

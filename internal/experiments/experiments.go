@@ -19,8 +19,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/hypervisor"
-	"repro/internal/machine"
 	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -110,8 +108,6 @@ type Config struct {
 	// Host is the physical host topology (default: the paper's 112-CPU
 	// R830).
 	Host *topology.Topology
-	// HV is the hypervisor calibration.
-	HV *hypervisor.Params
 	// Quick shrinks workloads and reps for fast CI runs; shapes are
 	// preserved, absolute values are not.
 	Quick bool
@@ -121,11 +117,6 @@ type Config struct {
 	// bare-metal mean exceeds this multiple of the bare-metal row's median
 	// (the Cassandra Large thrash case, excluded from the paper's chart).
 	OutOfRangeFactor float64
-	// Ablate switches overhead mechanisms off in every trial's host
-	// configuration (machine.Ablation) — the knob the ablation benchmarks
-	// use. It is part of the trial key, so ablated runs memoize and reuse
-	// deployments like any other run.
-	Ablate machine.Ablation
 	// Executor is the trial-execution strategy (nil = Pool{}): every
 	// figure and sweep is a grid of independent (series, cell, repetition)
 	// trials whose seeds are derived up front, so Pool{Workers: n} runs them
@@ -148,10 +139,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Host == nil {
 		c.Host = topology.PaperHost()
-	}
-	if c.HV == nil {
-		hv := hypervisor.DefaultParams()
-		c.HV = &hv
 	}
 	if c.TimeLimit <= 0 {
 		c.TimeLimit = 30 * 60 * sim.Second
@@ -222,7 +209,7 @@ func seedFor(base uint64, parts ...uint64) uint64 {
 // seedFree reports that the run drew nothing from the machine's RNG, so
 // the result is the same for every seed (see simulateOrShare).
 func runStack(tc *TrialContext, cfg Config, in trialInput) (r TrialResult, seedFree bool, err error) {
-	d, err := tc.deploy(cfg, in.host, in.stack, in.size, in.seed)
+	d, err := tc.deploy(in)
 	if err != nil {
 		return TrialResult{}, false, err
 	}

@@ -417,11 +417,11 @@ func TestRenderers(t *testing.T) {
 
 func TestSeedsReproduce(t *testing.T) {
 	cfg := Config{Quick: true, Reps: 1, Seed: 777}
-	a, err := RunFig8(cfg)
+	a, err := RunFigure(8, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFig8(cfg)
+	b, err := RunFigure(8, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ var (
 func netFigure(t *testing.T) Figure {
 	t.Helper()
 	onceNet.Do(func() {
-		figNet, errNet = RunFigNet(Config{Quick: true, Reps: 2, Seed: 1234})
+		figNet, errNet = RunRegistered("net", Config{Quick: true, Reps: 2, Seed: 1234})
 	})
 	if errNet != nil {
 		t.Fatalf("fig net: %v", errNet)

@@ -1,10 +1,9 @@
 package experiments
 
 // The paper's figures are data, not code: each is a Scenario registered in
-// builtin.go and executed by the generic scenario engine (scenario.go).
-// The RunFigN functions remain as thin registry dispatches for library
-// callers and the historical tests; there is no per-figure execution logic
-// left here.
+// builtin.go and executed by the generic scenario engine (scenario.go),
+// reached through RunFigure or RunRegistered; there is no per-figure
+// execution logic left here.
 
 import (
 	"fmt"
@@ -25,28 +24,6 @@ func transcodeFor(cfg Config, segments int) workload.Transcode {
 	}
 	return w
 }
-
-// RunFig3 reproduces Fig 3 (see the "fig3" scenario registration).
-func RunFig3(cfg Config) (Figure, error) { return RunRegistered("fig3", cfg) }
-
-// RunFig4 reproduces Fig 4 (see the "fig4" scenario registration).
-func RunFig4(cfg Config) (Figure, error) { return RunRegistered("fig4", cfg) }
-
-// RunFig5 reproduces Fig 5 (see the "fig5" scenario registration).
-func RunFig5(cfg Config) (Figure, error) { return RunRegistered("fig5", cfg) }
-
-// RunFig6 reproduces Fig 6 (see the "fig6" scenario registration).
-func RunFig6(cfg Config) (Figure, error) { return RunRegistered("fig6", cfg) }
-
-// RunFig6Large runs the excluded Large instance of the Cassandra experiment
-// (see the "fig6-large" scenario registration).
-func RunFig6Large(cfg Config) (Figure, error) { return RunRegistered("fig6-large", cfg) }
-
-// RunFig7 reproduces Fig 7 (see the "fig7" scenario registration).
-func RunFig7(cfg Config) (Figure, error) { return RunRegistered("fig7", cfg) }
-
-// RunFig8 reproduces Fig 8 (see the "fig8" scenario registration).
-func RunFig8(cfg Config) (Figure, error) { return RunRegistered("fig8", cfg) }
 
 // RunFigure dispatches by figure number 3..8 through the scenario registry.
 func RunFigure(n int, cfg Config) (Figure, error) {
@@ -118,8 +95,8 @@ func RunCHRSweep(cfg Config) ([]CHRBand, error) {
 				kind, rep := kinds[i/reps], i%reps
 				seed := seedFor(cfg.Seed, 40, uint64(ai), uint64(ii), uint64(kind), uint64(rep))
 				spec := platform.Spec{Kind: kind, Mode: platform.Vanilla, Cores: it.Cores}
-				r, err := runTrial(tc, cfg, &shared[i/reps], trialInput{cfg.Host, spec.Stack(), it.Cores,
-					[]workload.Workload{a.mk(it)}, it.MemGB, seed})
+				r, err := runTrial(tc, cfg, &shared[i/reps], trialInput{host: cfg.Host, stack: spec.Stack(),
+					size: it.Cores, ws: []workload.Workload{a.mk(it)}, memGB: it.MemGB, seed: seed})
 				if err != nil {
 					return err
 				}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/hypervisor"
 	"repro/internal/irqsim"
+	"repro/internal/machine"
 	"repro/internal/platform"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -90,10 +92,10 @@ func RunProfile(ps ProfileSpec, cfg Config) (*ProfileResult, error) {
 	}
 	col := trace.NewCollector(nil)
 	seed := seedFor(cfg.Seed, 70)
-	hostCfg := hostConfig(cfg, cfg.Host, seed)
+	hostCfg := machine.HostDefaults(cfg.Host, seed)
 	hostCfg.Trace = col.Fn()
 	spec := platform.Spec{Kind: kind, Mode: mode, Cores: it.Cores}
-	d, err := platform.Deploy(spec, hostCfg, *cfg.HV, seed)
+	d, err := platform.Deploy(spec, hostCfg, hypervisor.DefaultParams(), seed)
 	if err != nil {
 		return nil, err
 	}

@@ -23,6 +23,7 @@ package experiments
 import (
 	"sync/atomic"
 
+	"repro/internal/machine"
 	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/topology"
@@ -51,15 +52,16 @@ func forEachTrial(cfg Config, n int, run func(tc *TrialContext, i int) error) er
 
 // trialInput is one trial's inputs besides the run-wide Config: the host it
 // deploys onto, the platform stack and instance size, the workloads (one
-// for every tenant, or exactly one per tenant), the memory size and the
-// seed.
+// for every tenant, or exactly one per tenant), the memory size, the seed
+// and the overhead mechanisms switched off.
 type trialInput struct {
-	host  *topology.Topology
-	stack platform.Stack
-	size  int
-	ws    []workload.Workload
-	memGB int
-	seed  uint64
+	host   *topology.Topology
+	stack  platform.Stack
+	size   int
+	ws     []workload.Workload
+	memGB  int
+	seed   uint64
+	ablate machine.Ablation
 }
 
 // runTrial is runStack behind the trial store: on a hit the simulation is
@@ -70,7 +72,7 @@ func runTrial(tc *TrialContext, cfg Config, slot *atomic.Pointer[TrialResult], i
 	if cfg.Memo == nil {
 		return simulateOrShare(tc, cfg, slot, in)
 	}
-	key := trialKey(cfg, in.host, in.stack, in.size, in.ws, in.memGB, in.seed)
+	key := trialKey(cfg, in)
 	return cfg.Memo.GetOrCompute(key, func() (TrialResult, error) {
 		return simulateOrShare(tc, cfg, slot, in)
 	})

@@ -117,14 +117,14 @@ func TestParallelFiguresMatchSerial(t *testing.T) {
 // a figure from a warm memo must reproduce the simulated figure exactly.
 func TestMemoizedFigureMatchesUnmemoized(t *testing.T) {
 	base := Config{Quick: true, Reps: 2, Seed: 99, Executor: Pool{Workers: 1}}
-	plain, err := RunFig3(base)
+	plain, err := RunFigure(3, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	memo := NewTrialMemo()
 	withMemo := base
 	withMemo.Memo = memo
-	first, err := RunFig3(withMemo)
+	first, err := RunFigure(3, withMemo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestMemoizedFigureMatchesUnmemoized(t *testing.T) {
 	if misses == 0 {
 		t.Fatal("cold memo must miss")
 	}
-	second, err := RunFig3(withMemo)
+	second, err := RunFigure(3, withMemo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,13 +144,30 @@ func TestMemoizedFigureMatchesUnmemoized(t *testing.T) {
 	}
 }
 
-// TestAblatedFigureMemoizes: an ablation is data in the trial key, so an
-// ablated figure replays from a warm memo, and an unablated run sharing the
-// memo simulates its own trials instead of replaying the ablated ones.
+// ablated returns the registered scenario name with every series ablated
+// by a: the same grid and seeds, so only the ablation tells the trials
+// apart.
+func ablated(t *testing.T, name string, a machine.Ablation) Scenario {
+	t.Helper()
+	sc, ok := ScenarioByName(name)
+	if !ok {
+		t.Fatalf("scenario %s not registered", name)
+	}
+	for i := range sc.Series {
+		sc.Series[i].Ablate = a
+	}
+	return sc
+}
+
+// TestAblatedFigureMemoizes: a series ablation is data in the trial key, so
+// an ablated scenario replays from a warm memo, and the unablated figure
+// sharing the memo simulates its own trials instead of replaying the
+// ablated ones.
 func TestAblatedFigureMemoizes(t *testing.T) {
 	memo := NewTrialMemo()
-	cfg := Config{Quick: true, Reps: 1, Seed: 5, Executor: Pool{Workers: 1}, Ablate: machine.AblateNUMA, Memo: memo}
-	first, err := RunFig7(cfg)
+	cfg := Config{Quick: true, Reps: 1, Seed: 5, Executor: Pool{Workers: 1}, Memo: memo}
+	sc := ablated(t, "fig7", machine.AblateNUMA)
+	first, err := RunScenario(cfg, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +175,7 @@ func TestAblatedFigureMemoizes(t *testing.T) {
 	if misses == 0 {
 		t.Fatal("cold memo must miss")
 	}
-	second, err := RunFig7(cfg)
+	second, err := RunScenario(cfg, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +185,7 @@ func TestAblatedFigureMemoizes(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Fatal("memoized ablated figure must equal the simulated one")
 	}
-	cfg.Ablate = 0
-	if _, err := RunFig7(cfg); err != nil {
+	if _, err := RunFigure(7, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if got := memo.Stats().Misses - misses; got != misses {
@@ -182,7 +198,7 @@ func TestAblatedFigureMemoizes(t *testing.T) {
 // GOMAXPROCS-fold speedup (trials are embarrassingly parallel).
 func BenchmarkQuickFig3Serial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := RunFig3(Config{Quick: true, Reps: 2, Seed: 1234, Executor: Pool{Workers: 1}}); err != nil {
+		if _, err := RunFigure(3, Config{Quick: true, Reps: 2, Seed: 1234, Executor: Pool{Workers: 1}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -192,7 +208,7 @@ func BenchmarkQuickFig3Serial(b *testing.B) {
 // adds on top of raw trial execution for one figure run: registry lookup,
 // defaulting, validation, per-cell workload resolution (JSON overlay
 // included) and the spec fingerprint. The trials themselves are identical
-// either way (RunFigN is RunRegistered now), so this — not a second full
+// either way (RunFigure is RunRegistered), so this — not a second full
 // figure run — is the dispatch overhead. internal/devtools/benchjson
 // (a CI step) asserts it stays under 5% of the same-run QuickFig3Serial
 // figure time, which both proves the "<5% dispatch tax" claim structurally
@@ -224,7 +240,7 @@ func BenchmarkScenarioDispatch(b *testing.B) {
 
 func BenchmarkQuickFig3Parallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := RunFig3(Config{Quick: true, Reps: 2, Seed: 1234, Executor: Pool{Workers: 0}}); err != nil {
+		if _, err := RunFigure(3, Config{Quick: true, Reps: 2, Seed: 1234, Executor: Pool{Workers: 0}}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cache"
+	"repro/internal/machine"
 	"repro/internal/platform"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -86,6 +87,11 @@ type ScenarioSeries struct {
 	// TenantWorkloads assigns tenants their own workloads by position;
 	// tenants beyond the list run the cell's workload.
 	TenantWorkloads []WorkloadSpec `json:"tenant_workloads,omitempty"`
+	// Ablate switches overhead mechanisms off in every trial of the series
+	// (in JSON, a list of names such as ["numa","acct-walk"]). An ablated
+	// series and its unablated control belong to one scenario, so one
+	// figure holds both arms of the comparison.
+	Ablate machine.Ablation `json:"ablate,omitempty"`
 }
 
 // label resolves the series' effective label (what withDefaults fills in).
@@ -297,6 +303,11 @@ func (s Scenario) canonical() string {
 		for _, tw := range se.TenantWorkloads {
 			fmt.Fprintf(&b, "&%s", tw.fingerprint())
 		}
+		// Appended only when set, so unablated scenarios keep their
+		// fingerprints.
+		if se.Ablate != 0 {
+			fmt.Fprintf(&b, "~ablate=%d", se.Ablate)
+		}
 	}
 	for _, c := range s.Cells {
 		fmt.Fprintf(&b, "|c=%q@%q:%dc/%dGB", c.Label, c.Host, c.Cores, c.MemGB)
@@ -349,6 +360,7 @@ type scenarioGrid struct {
 	reps, nC int
 	cells    []scenarioCell        // per cell
 	stacks   []platform.Stack      // per series
+	ablates  []machine.Ablation    // per series
 	wlists   [][]workload.Workload // per (series, cell)
 	seeds    []uint64              // per trial
 }
@@ -364,7 +376,7 @@ type scenarioCell struct {
 func (g *scenarioGrid) input(i int) trialInput {
 	si, ci := i/(g.nC*g.reps), i/g.reps%g.nC
 	c := &g.cells[ci]
-	return trialInput{c.host, g.stacks[si], c.cores, g.wlists[si*g.nC+ci], c.memGB, g.seeds[i]}
+	return trialInput{c.host, g.stacks[si], c.cores, g.wlists[si*g.nC+ci], c.memGB, g.seeds[i], g.ablates[si]}
 }
 
 // planScenario resolves every cell's host and workload, every series'
@@ -374,11 +386,12 @@ func (g *scenarioGrid) input(i int) trialInput {
 func planScenario(cfg Config, sc Scenario) (*scenarioGrid, error) {
 	nC := len(sc.Cells)
 	g := &scenarioGrid{
-		reps:   cfg.reps(sc.Reps),
-		nC:     nC,
-		cells:  make([]scenarioCell, nC),
-		stacks: make([]platform.Stack, len(sc.Series)),
-		wlists: make([][]workload.Workload, len(sc.Series)*nC),
+		reps:    cfg.reps(sc.Reps),
+		nC:      nC,
+		cells:   make([]scenarioCell, nC),
+		stacks:  make([]platform.Stack, len(sc.Series)),
+		ablates: make([]machine.Ablation, len(sc.Series)),
+		wlists:  make([][]workload.Workload, len(sc.Series)*nC),
 	}
 	for ci, c := range sc.Cells {
 		host, err := HostByName(c.Host)
@@ -400,6 +413,7 @@ func planScenario(cfg Config, sc Scenario) (*scenarioGrid, error) {
 	}
 	for si, se := range sc.Series {
 		g.stacks[si] = se.stack()
+		g.ablates[si] = se.Ablate
 		var tenantWs []workload.Workload
 		for _, tw := range se.TenantWorkloads {
 			w, err := tw.Resolve(cfg.Quick)

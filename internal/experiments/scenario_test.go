@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/platform"
 )
 
@@ -87,6 +89,7 @@ func TestScenarioFingerprintCollisions(t *testing.T) {
 				platform.TenantSpec{Cores: 2})
 		},
 		"tenant pinning": func(s *Scenario) { s.Series[1].Stack.Tenants[0].Pinned = false },
+		"series ablate":  func(s *Scenario) { s.Series[1].Ablate = machine.AblateNUMA },
 		"tenant workload": func(s *Scenario) {
 			s.Series[1].TenantWorkloads[0].Driver = "wordpress"
 		},
@@ -265,6 +268,33 @@ func TestScenarioValidation(t *testing.T) {
 	}
 	if err := scenarioFixture().Validate(); err != nil {
 		t.Fatalf("fixture must validate: %v", err)
+	}
+}
+
+// TestParseScenarioAblation: a series' "ablate" list decodes to its bit set
+// and marshals back to the same names; an unknown name is a decode error
+// that lists the valid ones.
+func TestParseScenarioAblation(t *testing.T) {
+	const spec = `{"name":"abl","workload":{"driver":"ffmpeg"},"cells":[{"label":"l","cores":2}],
+		"series":[{"platform":{"kind":"CN","mode":"Pinned"}},
+		          {"label":"no numa","platform":{"kind":"CN","mode":"Pinned"},"ablate":[%s]}]}`
+	sc, err := ParseScenario([]byte(fmt.Sprintf(spec, `"numa","acct-walk"`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sc.Series[1].Ablate; got != machine.AblateNUMA|machine.AblateAcctWalk || sc.Series[0].Ablate != 0 {
+		t.Fatalf("ablations = %#x, %#x", sc.Series[0].Ablate, got)
+	}
+	data, err := sc.MarshalIndentJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), `"ablate"`); n != 1 || !strings.Contains(string(data), `"acct-walk",`) {
+		t.Fatalf("marshalled spec carries %d ablate keys:\n%s", n, data)
+	}
+	_, err = ParseScenario([]byte(fmt.Sprintf(spec, `"numa","no-such-mechanism"`)))
+	if err == nil || !strings.Contains(err.Error(), `"no-such-mechanism"`) || !strings.Contains(err.Error(), "vm-fastpath") {
+		t.Fatalf("unknown ablation error = %v", err)
 	}
 }
 

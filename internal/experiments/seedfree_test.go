@@ -133,13 +133,13 @@ func TestSeedFreeSharingIgnoresScheduling(t *testing.T) {
 		t.Skip("runs a quick figure three times")
 	}
 	cfg := Config{Seed: 11, Quick: true, Reps: 6, Executor: Pool{Workers: 1}}
-	want, err := RunFig3(cfg)
+	want, err := RunFigure(3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
 		cfg.Executor = Pool{Workers: workers}
-		got, err := RunFig3(cfg)
+		got, err := RunFigure(3, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

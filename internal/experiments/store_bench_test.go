@@ -56,13 +56,13 @@ func BenchmarkMemoHitParallel(b *testing.B) {
 // measures the same path end to end.
 func BenchmarkMillionTrialReplay(b *testing.B) {
 	cfg := Config{Quick: true, Reps: 2, Seed: 1234, Executor: Pool{Workers: 1}, Memo: NewTrialMemo()}
-	if _, err := RunFig3(cfg); err != nil {
+	if _, err := RunFigure(3, cfg); err != nil {
 		b.Fatal(err) // cold run fills the memo
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunFig3(cfg); err != nil {
+		if _, err := RunFigure(3, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

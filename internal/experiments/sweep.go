@@ -197,8 +197,8 @@ func Sweep(cfg Config, spec SweepSpec) (*SweepResult, error) {
 			uint64(pc.cell.Spec.Kind), uint64(pc.cell.Spec.Mode),
 			uint64(pc.cell.Cores), uint64(pc.cell.MemGB),
 			workloadTag(pc.cell.Workload), uint64(rep))
-		r, err := runTrial(tc, cfg, &shared[i/reps], trialInput{cfg.Host, pc.cell.Spec.Stack(), pc.cell.Cores,
-			[]workload.Workload{pc.w}, pc.cell.MemGB, seed})
+		r, err := runTrial(tc, cfg, &shared[i/reps], trialInput{host: cfg.Host, stack: pc.cell.Spec.Stack(),
+			size: pc.cell.Cores, ws: []workload.Workload{pc.w}, memGB: pc.cell.MemGB, seed: seed})
 		if err != nil {
 			return fmt.Errorf("sweep %s %s %dc/%dGB: %w",
 				pc.cell.Platform, pc.cell.Workload, pc.cell.Cores, pc.cell.MemGB, err)

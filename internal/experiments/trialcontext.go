@@ -15,9 +15,9 @@ package experiments
 import (
 	"sync/atomic"
 
+	"repro/internal/hypervisor"
 	"repro/internal/machine"
 	"repro/internal/platform"
-	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -53,26 +53,22 @@ func DeployStats() (built, reused uint64) {
 // their cell's seed-free result instead of deploying and simulating.
 func SharedRepetitions() uint64 { return trialsShared.Load() }
 
-// hostConfig is the host machine configuration one trial deploys onto:
-// the calibrated defaults with the run's ablations applied.
-func hostConfig(cfg Config, host *topology.Topology, seed uint64) machine.Config {
-	c := machine.HostDefaults(host, seed)
-	cfg.Ablate.Apply(&c)
-	return c
-}
-
 // deploy returns a deployment for the trial, reusing the worker's pooled
 // arena for the machine shape when possible. A nil context builds fresh.
-func (tc *TrialContext) deploy(cfg Config, host *topology.Topology, stack platform.Stack, size int, seed uint64) (*platform.Deployment, error) {
-	hostCfg := hostConfig(cfg, host, seed)
+// The host and hypervisor configurations are the calibrated defaults with
+// the trial's ablations applied.
+func (tc *TrialContext) deploy(in trialInput) (*platform.Deployment, error) {
+	hostCfg := machine.HostDefaults(in.host, in.seed)
+	in.ablate.Apply(&hostCfg)
+	hv := hypervisor.ParamsFor(in.ablate)
 	if tc == nil {
-		d, err := platform.DeployStack(stack, size, hostCfg, *cfg.HV, seed)
+		d, err := platform.DeployStack(in.stack, in.size, hostCfg, hv, in.seed)
 		if err == nil {
 			deploysBuilt.Add(1)
 		}
 		return d, err
 	}
-	d, reused, err := tc.pool.Deploy(stack, size, hostCfg, *cfg.HV, seed)
+	d, reused, err := tc.pool.Deploy(in.stack, in.size, hostCfg, hv, in.seed)
 	if err != nil {
 		return nil, err
 	}

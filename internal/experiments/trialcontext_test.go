@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"reflect"
 	"testing"
 
 	"repro/internal/machine"
 	"repro/internal/platform"
+	"repro/internal/topology"
 )
 
 // buildFresh runs trials through Pool but hands each one a nil
@@ -43,8 +45,8 @@ func TestReuseEquivalence(t *testing.T) {
 	}
 }
 
-// TestAblationReuseEquivalence: an ablated run reuses deployments like any
-// other, so for every ablation bit the reusing run must equal the
+// TestAblationReuseEquivalence: an ablated series reuses deployments like
+// any other, so for every ablation bit the reusing run must equal the
 // build-fresh run at one and two workers — and must differ from the
 // unablated figure, or the ablation never reached the machine.
 func TestAblationReuseEquivalence(t *testing.T) {
@@ -61,12 +63,13 @@ func TestAblationReuseEquivalence(t *testing.T) {
 		{machine.AblateIRQDistance, 6},
 		{machine.AblateChurnWorkingSet, 6},
 		{machine.AblateCacheLocality, 3},
+		{machine.AblateVMFastpath, 4},
 	}
 	var all machine.Ablation
 	for _, c := range cases {
 		all |= c.ablate
 	}
-	if all != machine.AblateCacheLocality<<1-1 {
+	if all != machine.AblateVMFastpath<<1-1 {
 		t.Fatalf("cases cover mask %#x; every ablation bit needs a figure", all)
 	}
 	plain := map[int]Figure{}
@@ -78,12 +81,13 @@ func TestAblationReuseEquivalence(t *testing.T) {
 			}
 			plain[c.fig] = f
 		}
+		sc := ablated(t, fmt.Sprintf("fig%d", c.fig), c.ablate)
 		for _, workers := range []int{1, 2} {
-			reused, err := RunFigure(c.fig, Config{Seed: 42, Quick: true, Reps: 1, Executor: Pool{Workers: workers}, Ablate: c.ablate})
+			reused, err := RunScenario(Config{Seed: 42, Quick: true, Reps: 1, Executor: Pool{Workers: workers}}, sc)
 			if err != nil {
 				t.Fatalf("ablation %#x fig %d reuse on: %v", c.ablate, c.fig, err)
 			}
-			fresh, err := RunFigure(c.fig, Config{Seed: 42, Quick: true, Reps: 1, Executor: buildFresh{workers: workers}, Ablate: c.ablate})
+			fresh, err := RunScenario(Config{Seed: 42, Quick: true, Reps: 1, Executor: buildFresh{workers: workers}}, sc)
 			if err != nil {
 				t.Fatalf("ablation %#x fig %d reuse off: %v", c.ablate, c.fig, err)
 			}
@@ -166,7 +170,7 @@ func TestDeployStatsCountReuse(t *testing.T) {
 
 	b0, r0 := DeployStats()
 	cfg.Executor = Pool{Workers: 1}
-	if _, err := RunFig3(cfg); err != nil {
+	if _, err := RunFigure(3, cfg); err != nil {
 		t.Fatal(err)
 	}
 	b1, r1 := DeployStats()
@@ -175,7 +179,7 @@ func TestDeployStatsCountReuse(t *testing.T) {
 			built, reused, wantBuilt, trials-wantBuilt, trials)
 	}
 	cfg.Executor = buildFresh{workers: 1}
-	if _, err := RunFig3(cfg); err != nil {
+	if _, err := RunFigure(3, cfg); err != nil {
 		t.Fatal(err)
 	}
 	b2, r2 := DeployStats()
@@ -189,7 +193,7 @@ func TestDeployStatsCountReuse(t *testing.T) {
 // stacks at a rotating size onto the worker's pooled machine — the price a
 // repetition pays now that the arena is rewound instead of rebuilt.
 func BenchmarkTrialReuse(b *testing.B) {
-	cfg := Config{Quick: true, Seed: 1234}.withDefaults()
+	host := topology.PaperHost()
 	stacks := []platform.Stack{
 		platform.Spec{Kind: platform.BM}.Stack(),
 		platform.Spec{Kind: platform.VM}.Stack(),
@@ -199,7 +203,7 @@ func BenchmarkTrialReuse(b *testing.B) {
 	sizes := []int{2, 4, 8, 16}
 	tc := new(TrialContext)
 	for _, st := range stacks {
-		if _, err := tc.deploy(cfg, cfg.Host, st, sizes[0], 1); err != nil {
+		if _, err := tc.deploy(trialInput{host: host, stack: st, size: sizes[0], seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,7 +211,7 @@ func BenchmarkTrialReuse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st := stacks[i%len(stacks)]
-		if _, err := tc.deploy(cfg, cfg.Host, st, sizes[i%len(sizes)], uint64(i)); err != nil {
+		if _, err := tc.deploy(trialInput{host: host, stack: st, size: sizes[i%len(sizes)], seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,7 +3,7 @@ package experiments
 // The durable trial key. A trial's store key fingerprints everything its
 // result depends on — seed, stack, instance size, host topology,
 // hypervisor calibration, time limit, memory, every tenant workload's
-// concrete parameters and the run's host ablations — as a canonical
+// concrete parameters and the trial's ablations — as a canonical
 // versioned encoding: explicit field walks in declaration order,
 // fixed-width little-endian values, a schema version byte up front
 // (resultstore.Enc). Reflective %+v formatting would silently change
@@ -17,9 +17,7 @@ import (
 	"fmt"
 
 	"repro/internal/hypervisor"
-	"repro/internal/platform"
 	"repro/internal/resultstore"
-	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -29,18 +27,18 @@ import (
 const trialKeySchema = 1
 
 // trialKey returns the durable store key of one trial.
-func trialKey(cfg Config, host *topology.Topology, stack platform.Stack, size int, ws []workload.Workload, memGB int, seed uint64) uint64 {
+func trialKey(cfg Config, in trialInput) uint64 {
 	var e resultstore.Enc
 	e.Version(trialKeySchema)
-	e.U64(seed)
-	e.Str(stack.Fingerprint())
-	e.Int(size)
-	e.Str(host.Fingerprint())
-	appendHVKey(&e, *cfg.HV)
+	e.U64(in.seed)
+	e.Str(in.stack.Fingerprint())
+	e.Int(in.size)
+	e.Str(in.host.Fingerprint())
+	appendHVKey(&e, hypervisor.ParamsFor(in.ablate))
 	e.I64(int64(cfg.TimeLimit))
-	e.Int(memGB)
-	e.Int(len(ws))
-	for _, w := range ws {
+	e.Int(in.memGB)
+	e.Int(len(in.ws))
+	for _, w := range in.ws {
 		appendWorkloadKey(&e, w)
 	}
 	// Ablations are appended only when present: every unablated key stays
@@ -48,9 +46,9 @@ func trialKey(cfg Config, host *topology.Topology, stack platform.Stack, size in
 	// durable stores keep hitting without a trialKeySchema bump. The
 	// encoding stays unambiguous because the workload walk above is
 	// self-delimiting (its count comes first).
-	if cfg.Ablate != 0 {
+	if in.ablate != 0 {
 		e.Str("ablate")
-		e.U64(uint64(cfg.Ablate))
+		e.U64(uint64(in.ablate))
 	}
 	return e.Sum64()
 }

@@ -23,7 +23,7 @@ func TestTrialKeyPinnedLiteral(t *testing.T) {
 	cfg := Config{Seed: 42}.withDefaults()
 	stack := platform.Spec{Kind: platform.CN, Mode: platform.Pinned, Cores: 4}.Stack()
 	w := workload.DefaultTranscode()
-	got := trialKey(cfg, cfg.Host, stack, 4, []workload.Workload{w}, 16, 7)
+	got := trialKey(cfg, trialInput{cfg.Host, stack, 4, []workload.Workload{w}, 16, 7, 0})
 	const want = uint64(0x9f368ed2b23a1d51)
 	if got != want {
 		t.Fatalf("trialKey = %#016x, want %#016x — the durable key encoding changed; bump trialKeySchema if intentional", got, want)
@@ -33,10 +33,25 @@ func TestTrialKeyPinnedLiteral(t *testing.T) {
 	// multi-field walks (NoSQL has the widest struct).
 	nos := workload.DefaultNoSQL()
 	vm := platform.Spec{Kind: platform.VMCN, Mode: platform.Vanilla, Cores: 8}.Stack()
-	got2 := trialKey(cfg, cfg.Host, vm, 8, []workload.Workload{nos}, 32, 9)
+	got2 := trialKey(cfg, trialInput{cfg.Host, vm, 8, []workload.Workload{nos}, 32, 9, 0})
 	const want2 = uint64(0x541a453fbcf9355a)
 	if got2 != want2 {
 		t.Fatalf("trialKey(nosql) = %#016x, want %#016x — the durable key encoding changed; bump trialKeySchema if intentional", got2, want2)
+	}
+
+	// Each host ablation bit keys as it did when ablations were a run-wide
+	// setting rather than series data, so stores of ablated runs keep
+	// hitting.
+	for a, want := range map[machine.Ablation]uint64{
+		machine.AblateAcctWalk:        0xf9b71525bc25343d,
+		machine.AblateNUMA:            0x18b1dc2ec7147e5e,
+		machine.AblateIRQDistance:     0x5ed131f88578c198,
+		machine.AblateChurnWorkingSet: 0xe2e615d459bb9914,
+		machine.AblateCacheLocality:   0xeb0fdd8c0241480c,
+	} {
+		if got := trialKey(cfg, trialInput{cfg.Host, stack, 4, []workload.Workload{w}, 16, 7, a}); got != want {
+			t.Errorf("trialKey(ablate %#x) = %#016x, want %#016x — the ablated key encoding changed", a, got, want)
+		}
 	}
 }
 
@@ -46,39 +61,30 @@ func TestTrialKeySensitivity(t *testing.T) {
 	cfg := Config{Seed: 42}.withDefaults()
 	stack := platform.Spec{Kind: platform.CN, Mode: platform.Pinned, Cores: 4}.Stack()
 	w := workload.DefaultTranscode()
-	base := trialKey(cfg, cfg.Host, stack, 4, []workload.Workload{w}, 16, 7)
-
-	if trialKey(cfg, cfg.Host, stack, 4, []workload.Workload{w}, 16, 8) == base {
-		t.Fatal("seed change did not move the key")
-	}
-	if trialKey(cfg, cfg.Host, stack, 8, []workload.Workload{w}, 16, 7) == base {
-		t.Fatal("size change did not move the key")
-	}
-	if trialKey(cfg, cfg.Host, stack, 4, []workload.Workload{w}, 32, 7) == base {
-		t.Fatal("memGB change did not move the key")
-	}
-	w2 := w
-	w2.Threads++
-	if trialKey(cfg, cfg.Host, stack, 4, []workload.Workload{w2}, 16, 7) == base {
-		t.Fatal("workload field change did not move the key")
-	}
-	hv := *cfg.HV
-	hv.CPUTax *= 1.5
-	cfg2 := cfg
-	cfg2.HV = &hv
-	if trialKey(cfg2, cfg.Host, stack, 4, []workload.Workload{w}, 16, 7) == base {
-		t.Fatal("hypervisor calibration change did not move the key")
-	}
-	if trialKey(cfg, cfg.Host, stack, 4, []workload.Workload{w, w}, 16, 7) == base {
-		t.Fatal("tenant count change did not move the key")
+	in := trialInput{cfg.Host, stack, 4, []workload.Workload{w}, 16, 7, 0}
+	base := trialKey(cfg, in)
+	for name, mut := range map[string]func(*trialInput){
+		"seed":           func(in *trialInput) { in.seed = 8 },
+		"size":           func(in *trialInput) { in.size = 8 },
+		"memGB":          func(in *trialInput) { in.memGB = 32 },
+		"tenant count":   func(in *trialInput) { in.ws = []workload.Workload{w, w} },
+		"workload field": func(in *trialInput) { w2 := w; w2.Threads++; in.ws = []workload.Workload{w2} },
+	} {
+		alt := in
+		mut(&alt)
+		if trialKey(cfg, alt) == base {
+			t.Errorf("%s change did not move the key", name)
+		}
 	}
 	// Each ablation bit moves the key, and distinct masks never share one.
+	// AblateVMFastpath reaches the key through the hypervisor walk as well.
 	keys := map[uint64]machine.Ablation{base: 0}
 	for _, a := range []machine.Ablation{machine.AblateAcctWalk, machine.AblateNUMA, machine.AblateIRQDistance,
-		machine.AblateChurnWorkingSet, machine.AblateCacheLocality, machine.AblateAcctWalk | machine.AblateNUMA} {
-		ablated := cfg
-		ablated.Ablate = a
-		k := trialKey(ablated, cfg.Host, stack, 4, []workload.Workload{w}, 16, 7)
+		machine.AblateChurnWorkingSet, machine.AblateCacheLocality, machine.AblateVMFastpath,
+		machine.AblateAcctWalk | machine.AblateNUMA} {
+		alt := in
+		alt.ablate = a
+		k := trialKey(cfg, alt)
 		if prev, dup := keys[k]; dup {
 			t.Fatalf("ablation %#x has the same key as ablation %#x", a, prev)
 		}

@@ -211,7 +211,7 @@ func TestStoreStatsLineSubtractsShared(t *testing.T) {
 // documented base prefix intact in front of them.
 func TestStoreStatsLineReuseCounters(t *testing.T) {
 	m := NewTrialMemo()
-	if _, err := RunFig3(Config{Quick: true, Reps: 2, Seed: 3, Executor: Pool{Workers: 1}, Memo: m}); err != nil {
+	if _, err := RunFigure(3, Config{Quick: true, Reps: 2, Seed: 3, Executor: Pool{Workers: 1}, Memo: m}); err != nil {
 		t.Fatal(err)
 	}
 	line := StoreStatsLine(m)

@@ -88,3 +88,20 @@ func TestGuestRunsWorkload(t *testing.T) {
 		t.Fatalf("virtualization tax missing: %v", res.Makespan)
 	}
 }
+
+// TestParamsForAblation: only the fast-path bit moves the hypervisor
+// calibration, and only its two message-path fields.
+func TestParamsForAblation(t *testing.T) {
+	def := DefaultParams()
+	if got := ParamsFor(machine.AblateNUMA | machine.AblateAcctWalk); got != def {
+		t.Fatalf("host ablations changed the hypervisor params: %+v", got)
+	}
+	got := ParamsFor(machine.AblateVMFastpath)
+	if got.GuestMsgSyncCost != 64*sim.Microsecond || got.GuestLineScale != 8 {
+		t.Fatalf("fast-path ablation = %v sync, %v line scale", got.GuestMsgSyncCost, got.GuestLineScale)
+	}
+	got.GuestMsgSyncCost, got.GuestLineScale = def.GuestMsgSyncCost, def.GuestLineScale
+	if got != def {
+		t.Fatalf("fast-path ablation moved other fields: %+v", got)
+	}
+}

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/sched"
@@ -94,6 +96,31 @@ func TestNUMASocketOverride(t *testing.T) {
 	res := m.Run(0)
 	if res.Makespan <= 130*sim.Millisecond {
 		t.Fatalf("NUMA override not applied: %v", res.Makespan)
+	}
+}
+
+// TestAblationJSON: an ablation set is a list of mechanism names in bit
+// order, it round-trips, and an unknown name or bit is an error naming the
+// valid names.
+func TestAblationJSON(t *testing.T) {
+	a := AblateNUMA | AblateAcctWalk | AblateVMFastpath
+	data, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != `["acct-walk","numa","vm-fastpath"]` {
+		t.Fatalf("marshal = %s", data)
+	}
+	var back Ablation
+	if err := json.Unmarshal([]byte(`["vm-fastpath","numa","acct-walk"]`), &back); err != nil || back != a {
+		t.Fatalf("unmarshal = %#x, %v; want %#x", back, err, a)
+	}
+	err = json.Unmarshal([]byte(`["numa","warp-drive"]`), &back)
+	if err == nil || !strings.Contains(err.Error(), `"warp-drive"`) || !strings.Contains(err.Error(), "cache-locality") {
+		t.Fatalf("unknown name error = %v", err)
+	}
+	if _, err := json.Marshal(Ablation(1 << 7)); err == nil {
+		t.Fatal("an unnamed bit must not marshal")
 	}
 }
 

@@ -22,6 +22,7 @@ func FuzzRunRequest(f *testing.F) {
 		`{"name":"fig3"}`,
 		`{"name":"fig3","cells":[{"label":"2xlarge","cores":16}]}`,
 		fmt.Sprintf(`{"scenario":%s}`, inlineSpec),
+		fmt.Sprintf(`{"scenario":%s}`, ablatedInlineSpec),
 		`{"name":"fig7","reps":3,"seed":9,"recommend":{"cores":4}}`,
 	} {
 		f.Add([]byte(body))

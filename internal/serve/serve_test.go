@@ -216,6 +216,9 @@ var badRequests = []struct{ name, body string }{
 	{"unknown scenario", `{"name":"no-such-fig"}`},
 	{"negative reps", `{"name":"fig3","reps":-1}`},
 	{"invalid cells", `{"name":"fig3","cells":[{"label":"bad","cores":0}]}`},
+	{"unknown ablation", `{"scenario":{"name":"x","workload":{"driver":"ffmpeg"},` +
+		`"series":[{"platform":{"kind":"CN","mode":"Pinned"},"ablate":["no-such-mechanism"]}],` +
+		`"cells":[{"label":"large","cores":2}]}}`},
 }
 
 // TestBadRequests: structural failures 400 before simulating; unknown
@@ -364,6 +367,36 @@ const inlineSpec = `{
   "series": [{"platform": {"kind": "BM", "mode": "Vanilla"}}],
   "cells": [{"label": "large", "cores": 2}]
 }`
+
+// ablatedInlineSpec is inlineSpec with its one series ablated.
+var ablatedInlineSpec = strings.Replace(inlineSpec, `"mode": "Vanilla"}`, `"mode": "Vanilla"}, "ablate": ["numa"]`, 1)
+
+// TestInlineAblationRekeys: two inline scenarios that differ only in a
+// series' "ablate" list are different requests — different cache keys, and
+// the ablated one simulates instead of replaying the unablated response.
+func TestInlineAblationRekeys(t *testing.T) {
+	var plain, abl RunRequest
+	if err := json.Unmarshal([]byte(fmt.Sprintf(`{"scenario":%s}`, inlineSpec)), &plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(fmt.Sprintf(`{"scenario":%s}`, ablatedInlineSpec)), &abl); err != nil {
+		t.Fatal(err)
+	}
+	if abl.Scenario.Series[0].Ablate == 0 {
+		t.Fatalf("ablated spec decoded without an ablation: %s", ablatedInlineSpec)
+	}
+	if plain.key(true, 2, 42) == abl.key(true, 2, 42) {
+		t.Fatal("ablation did not re-key the response cache")
+	}
+	s := newTestServer(t, Options{})
+	if w := post(t, s, fmt.Sprintf(`{"scenario":%s}`, inlineSpec)); w.Code != http.StatusOK {
+		t.Fatalf("plain: %d %s", w.Code, w.Body.String())
+	}
+	w := post(t, s, fmt.Sprintf(`{"scenario":%s}`, ablatedInlineSpec))
+	if w.Code != http.StatusOK || w.Header().Get(SourceHeader) != "simulated" {
+		t.Fatalf("ablated: %d source %q, want 200 simulated", w.Code, w.Header().Get(SourceHeader))
+	}
+}
 
 // TestRequestKeyStability: the key is a pure function of request fields —
 // same request same key, any material field change a different key.
