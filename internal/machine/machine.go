@@ -7,6 +7,7 @@ package machine
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/cache"
@@ -152,15 +153,12 @@ func (a *Ablation) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("machine: ablations are a list of names: %w", err)
 	}
 	var out Ablation
-next:
 	for _, n := range names {
-		for i, known := range ablationNames {
-			if n == known {
-				out |= 1 << i
-				continue next
-			}
+		i := slices.Index(ablationNames[:], n)
+		if i < 0 {
+			return fmt.Errorf("machine: unknown ablation %q (have %s)", n, strings.Join(ablationNames[:], ", "))
 		}
-		return fmt.Errorf("machine: unknown ablation %q (have %s)", n, strings.Join(ablationNames[:], ", "))
+		out |= 1 << i
 	}
 	*a = out
 	return nil
