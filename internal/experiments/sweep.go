@@ -121,8 +121,9 @@ type SweepCell struct {
 	Summary stats.Summary
 	// BootCI is the 95% percentile-bootstrap interval of the cell mean —
 	// the distribution-free companion to Summary.CI95's Student-t interval,
-	// meaningful at the small rep counts sweeps run with. Deterministic:
-	// the resampling RNG is seeded from the cell's content, like the trial
+	// meaningful at the small rep counts sweeps run with. The worker that
+	// finishes the cell's last repetition computes it. Deterministic: the
+	// resampling RNG is seeded from the cell's content, like the trial
 	// seeds, so the interval is identical at any worker count and store
 	// warmth.
 	BootCI stats.Interval
@@ -139,7 +140,11 @@ type SweepResult struct {
 
 // Sweep runs the grid through the parallel trial runner. Every trial is an
 // independent simulation seeded by cell content, so the result is
-// bit-identical for any Config.Executor and any memo state.
+// bit-identical for any Config.Executor and any memo state. Each cell is
+// aggregated (Summary, BootCI, Breakdown) by the worker that finishes its
+// last repetition, inside the trial fan-out. A cell with a repetition this
+// call did not run — a Shard executor's run, which is for persisting
+// trials, not for rendering — is left unaggregated (Summary.N == 0).
 func Sweep(cfg Config, spec SweepSpec) (*SweepResult, error) {
 	cfg = cfg.withDefaults()
 	spec = spec.withDefaults(cfg)
@@ -189,21 +194,34 @@ func Sweep(cfg Config, spec SweepSpec) (*SweepResult, error) {
 	reps := spec.Reps
 	results := make([]TrialResult, len(plan)*reps)
 	shared := make([]atomic.Pointer[TrialResult], len(plan)) // per cell, this call only
+	// pending counts each cell's repetitions still running. The worker
+	// whose repetition takes it to zero aggregates the cell, so the
+	// bootstrap intervals run on the executor's lanes instead of serially
+	// after them. The atomic decrement orders every other repetition's
+	// result write before that worker's reads.
+	pending := make([]atomic.Int32, len(plan))
+	for ci := range pending {
+		pending[ci].Store(int32(reps))
+	}
 	err := forEachTrial(cfg, len(results), func(tc *TrialContext, i int) error {
-		pc, rep := plan[i/reps], i%reps
+		ci, rep := i/reps, i%reps
+		pc := &plan[ci]
 		// Content-derived seed: a cell draws the same substream in every
 		// sweep that contains it, which is what lets a shared memo skip it.
 		seed := seedFor(cfg.Seed, 0x53_57, // "SW": keeps sweeps decorrelated from figures
 			uint64(pc.cell.Spec.Kind), uint64(pc.cell.Spec.Mode),
 			uint64(pc.cell.Cores), uint64(pc.cell.MemGB),
 			workloadTag(pc.cell.Workload), uint64(rep))
-		r, err := runTrial(tc, cfg, &shared[i/reps], trialInput{host: cfg.Host, stack: pc.cell.Spec.Stack(),
+		r, err := runTrial(tc, cfg, &shared[ci], trialInput{host: cfg.Host, stack: pc.cell.Spec.Stack(),
 			size: pc.cell.Cores, ws: []workload.Workload{pc.w}, memGB: pc.cell.MemGB, seed: seed})
 		if err != nil {
 			return fmt.Errorf("sweep %s %s %dc/%dGB: %w",
 				pc.cell.Platform, pc.cell.Workload, pc.cell.Cores, pc.cell.MemGB, err)
 		}
 		results[i] = r
+		if pending[ci].Add(-1) == 0 {
+			pc.cell.aggregate(cfg.Seed, results[ci*reps:(ci+1)*reps])
+		}
 		return nil
 	})
 	if err != nil {
@@ -211,26 +229,30 @@ func Sweep(cfg Config, spec SweepSpec) (*SweepResult, error) {
 	}
 
 	out := &SweepResult{Spec: spec}
-	for ci, pc := range plan {
-		vals := make([]float64, 0, reps)
-		for rep := 0; rep < reps; rep++ {
-			r := results[ci*reps+rep]
-			vals = append(vals, r.Metric)
-			pc.cell.Breakdown = r.Breakdown
-		}
-		pc.cell.Summary = stats.Summarize(vals)
-		// Content-derived bootstrap seed, for the same reason the trial
-		// seeds are content-derived: the same cell reports the same interval
-		// in every sweep that contains it.
-		bseed := seedFor(cfg.Seed, 0x42_53, // "BS": decorrelated from trial streams
-			uint64(pc.cell.Spec.Kind), uint64(pc.cell.Spec.Mode),
-			uint64(pc.cell.Cores), uint64(pc.cell.MemGB), workloadTag(pc.cell.Workload))
-		rng := rand.New(rand.NewSource(int64(bseed & math.MaxInt64)))
-		pc.cell.BootCI = stats.BootstrapCI(vals, 0.95, bootResamples, rng)
+	for _, pc := range plan {
 		out.Cells = append(out.Cells, pc.cell)
 	}
 	out.computeRatios()
 	return out, nil
+}
+
+// aggregate fills the cell's Summary, BootCI and Breakdown from its
+// repetitions' results, in repetition order.
+func (c *SweepCell) aggregate(seed uint64, results []TrialResult) {
+	vals := make([]float64, len(results))
+	for rep, r := range results {
+		vals[rep] = r.Metric
+	}
+	c.Breakdown = results[len(results)-1].Breakdown
+	c.Summary = stats.Summarize(vals)
+	// Content-derived bootstrap seed, for the same reason the trial seeds
+	// are content-derived: the same cell reports the same interval in
+	// every sweep that contains it.
+	bseed := seedFor(seed, 0x42_53, // "BS": decorrelated from trial streams
+		uint64(c.Spec.Kind), uint64(c.Spec.Mode),
+		uint64(c.Cores), uint64(c.MemGB), workloadTag(c.Workload))
+	rng := rand.New(rand.NewSource(int64(bseed & math.MaxInt64)))
+	c.BootCI = stats.BootstrapCI(vals, 0.95, bootResamples, rng)
 }
 
 // workloadTag folds a workload name into the seed derivation.
@@ -243,7 +265,8 @@ func workloadTag(name string) uint64 {
 }
 
 // computeRatios fills Ratio against the Vanilla BM cell sharing each cell's
-// (workload, cores, memory) coordinates, when the sweep contains one.
+// (workload, cores, memory) coordinates, when the sweep contains one and
+// aggregated it.
 func (r *SweepResult) computeRatios() {
 	type coord struct {
 		w     string
@@ -252,7 +275,7 @@ func (r *SweepResult) computeRatios() {
 	}
 	base := map[coord]float64{}
 	for _, c := range r.Cells {
-		if c.Spec.Kind == platform.BM && c.Spec.Mode == platform.Vanilla {
+		if c.Spec.Kind == platform.BM && c.Spec.Mode == platform.Vanilla && c.Summary.N > 0 {
 			base[coord{c.Workload, c.Cores, c.MemGB}] = c.Summary.Mean
 		}
 	}

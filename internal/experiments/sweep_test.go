@@ -86,6 +86,62 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatal("Workers:8 sweep differs from Workers:1")
 	}
+
+	// A warm rerun aggregates every cell from store hits alone.
+	memo := NewTrialMemo()
+	warmCfg := Config{Quick: true, Seed: 7, Memo: memo, Executor: Pool{Workers: 8}}
+	if _, err := Sweep(warmCfg, spec); err != nil {
+		t.Fatal(err)
+	}
+	cold := memo.Stats().Misses
+	warm, err := Sweep(warmCfg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if memo.Stats().Misses != cold {
+		t.Fatalf("warm rerun simulated %d trials, want 0", memo.Stats().Misses-cold)
+	}
+	if !reflect.DeepEqual(serial, warm) {
+		t.Fatal("warm-memo rerun differs from Workers:1")
+	}
+
+	// Two shard runs persist disjoint halves; no cell has all its
+	// repetitions in one shard, so neither aggregates any. The merge run
+	// aggregates every cell from the merged stores.
+	dirs := []string{t.TempDir(), t.TempDir()}
+	for idx, dir := range dirs {
+		st, err := OpenTrialStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := Sweep(Config{Quick: true, Seed: 7, Memo: st,
+			Executor: Shard{Index: idx, Count: len(dirs), Inner: Pool{Workers: 2}}}, spec)
+		if err != nil {
+			t.Fatalf("shard %d: %v", idx, err)
+		}
+		for _, c := range part.Cells {
+			if c.Summary.N != 0 {
+				t.Fatalf("shard %d aggregated %s/%s/%d from half its repetitions", idx, c.Platform, c.Workload, c.Cores)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merged := NewTrialMemo()
+	if err := MergeTrialStores(merged, dirs...); err != nil {
+		t.Fatal(err)
+	}
+	mergedRes, err := Sweep(Config{Quick: true, Seed: 7, Memo: merged, Executor: Pool{Workers: 8}}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.Stats().Misses != 0 {
+		t.Fatalf("merge run simulated %d trials, want 0", merged.Stats().Misses)
+	}
+	if !reflect.DeepEqual(serial, mergedRes) {
+		t.Fatal("2-shard run plus merge differs from Workers:1")
+	}
 }
 
 // TestSweepMemoSkipsOverlap is the cache contract: a repeated sweep runs

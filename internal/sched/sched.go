@@ -20,7 +20,8 @@ type Config struct {
 	RNG    *sim.RNG
 
 	// ComputeScale returns the wall-time multiplier (>= 1) for nominal
-	// compute of a task: virtualization tax × NUMA factor. nil = 1.
+	// compute of a task: virtualization tax × NUMA factor. nil = 1. It is
+	// called once per task, at spawn.
 	ComputeScale func(t *Task) float64
 	// IOScale multiplies device latencies (paravirtual IO path). 0 = 1.
 	IOScale float64
@@ -464,7 +465,10 @@ func (s *Scheduler) spawnTask(spec TaskSpec) *Task {
 		panic("sched: task without program")
 	}
 	t := s.newTask()
-	*t = Task{ID: len(s.tasks), Spec: spec, sched: s, lastCPU: -1, rqCPU: -1, rqPos: -1, state: stateNew, pendingMsgFromCPU: -1}
+	*t = Task{ID: len(s.tasks), Spec: spec, sched: s, lastCPU: -1, rqCPU: -1, rqPos: -1, state: stateNew, pendingMsgFromCPU: -1, computeScale: 1}
+	if s.cfg.ComputeScale != nil {
+		t.computeScale = s.cfg.ComputeScale(t)
+	}
 	s.tasks = append(s.tasks, t)
 	s.live++
 	if g := spec.Group; g != nil {
@@ -967,10 +971,7 @@ func (s *Scheduler) startSlice(c *cpuRun, t *Task) {
 	}
 	scale := 1.0
 	if !t.chunkIsMsg {
-		if s.cfg.ComputeScale != nil {
-			scale = s.cfg.ComputeScale(t)
-		}
-		scale *= s.smtScale(c)
+		scale = t.computeScale * s.smtScale(c)
 	}
 	// Dispatch overheads extend the slice (the kernel burns them on top of
 	// the task's fair share); they never starve the work budget.

@@ -181,6 +181,11 @@ type Task struct {
 	// it instead of capturing it in per-task closures.
 	sched *Scheduler
 
+	// computeScale is Config.ComputeScale(t), resolved once at spawn: its
+	// inputs are the task's spec and the machine's configuration, neither
+	// of which changes while the task lives.
+	computeScale float64
+
 	// procCtr is the shared runnable-thread counter of the task's thread
 	// group, resolved once at spawn so the dispatch path skips the map.
 	procCtr *procCount

@@ -6,16 +6,17 @@ package stats
 // means, whose sampling distribution is skewed at the small seed counts a
 // CI-speed run can afford. BootstrapCI gives the percentile interval,
 // BootstrapCIBCa the bias-corrected-and-accelerated one (the estimator the
-// findings report), RatioOfMeansCI the paired effect-size helper, and
-// RunUntilTight the adaptive rep-count loop: keep adding repetitions until
-// the interval is tight relative to the mean, or a cap is hit. All of it is
-// deterministic — every resample draw comes from an injected *rand.Rand
-// (or a caller-chosen seed), never from global randomness — because the
-// findings table is locked byte-for-byte by a golden test.
+// findings report), and RunUntilTight the adaptive rep-count loop: keep
+// adding repetitions until the interval is tight relative to the mean, or
+// a cap is hit. All of it is deterministic — every resample draw comes
+// from an injected *rand.Rand (or a caller-chosen seed), never from global
+// randomness — because the findings table is locked byte-for-byte by a
+// golden test.
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 )
@@ -120,48 +121,6 @@ func BootstrapCIBCa(xs []float64, confidence float64, resamples int, rng *rand.R
 	}
 }
 
-// RatioOfMeansCI is the paired effect-size helper: the ratio of the means
-// of num over den (e.g. vanilla time over pinned time, paired by seed),
-// with a percentile bootstrap interval obtained by resampling index pairs
-// — the pairing is preserved, which is what keeps between-seed variance
-// out of the interval. The slices must be the same non-zero length.
-func RatioOfMeansCI(num, den []float64, confidence float64, resamples int, rng *rand.Rand) (float64, Interval, error) {
-	if len(num) == 0 || len(num) != len(den) {
-		return 0, nanInterval(confidence), fmt.Errorf("stats: ratio of means needs equal-length non-empty samples, got %d and %d", len(num), len(den))
-	}
-	dm := mean(den)
-	if dm == 0 {
-		return 0, nanInterval(confidence), fmt.Errorf("stats: ratio of means: denominator mean is zero")
-	}
-	ratio := mean(num) / dm
-	if resamples <= 0 || rng == nil || len(num) == 1 {
-		return ratio, Interval{Lo: ratio, Hi: ratio, Confidence: confidence}, nil
-	}
-	n := len(num)
-	ratios := make([]float64, 0, resamples)
-	for b := 0; b < resamples; b++ {
-		var ns, ds float64
-		for i := 0; i < n; i++ {
-			j := rng.Intn(n)
-			ns += num[j]
-			ds += den[j]
-		}
-		if ds != 0 {
-			ratios = append(ratios, ns/ds)
-		}
-	}
-	if len(ratios) == 0 {
-		return ratio, nanInterval(confidence), nil
-	}
-	sort.Float64s(ratios)
-	alpha := (1 - confidence) / 2
-	return ratio, Interval{
-		Lo:         quantileSorted(ratios, alpha),
-		Hi:         quantileSorted(ratios, 1-alpha),
-		Confidence: confidence,
-	}, nil
-}
-
 // TightOpts configures RunUntilTight.
 type TightOpts struct {
 	// Min and Max bound the sample count: Min samples are always drawn
@@ -235,15 +194,59 @@ func bootstrapMeans(xs []float64, resamples int, rng *rand.Rand) []float64 {
 	if n < 2 || resamples <= 0 || rng == nil {
 		return nil
 	}
+	draw := newIntn(n)
+	idx := make([]int32, n)
 	means := make([]float64, resamples)
 	for b := range means {
+		draw.fill(idx, rng)
 		var sum float64
-		for i := 0; i < n; i++ {
-			sum += xs[rng.Intn(n)]
+		for _, i := range idx {
+			sum += xs[i]
 		}
 		means[b] = sum / float64(n)
 	}
 	return means
+}
+
+// intn draws from [0, n) the exact values rng.Intn(n) would, for
+// 0 < n < 2³¹, at a fraction of the cost. Go 1 freezes math/rand's value
+// stream, so a replica of (*Rand).Int31n stays exact: take the top 31 bits
+// of one Int63 call, reject values above the largest multiple of n, and
+// reduce the rest modulo n. Int31n recomputes its rejection bound with a
+// modulo on every draw and reduces with a second one; here the bound is
+// computed once per bootstrap call, and v % n is Lemire's fastmod (Lemire,
+// Kaser & Kurz, "Faster Remainder by Direct Computation", 2019): with
+// m = ⌊(2⁶⁴−1)/n⌋ + 1 (mod 2⁶⁴), the high word of (m·v mod 2⁶⁴)·n equals
+// v % n for every 32-bit v and nonzero n. Int31n masks instead when n is a
+// power of two; there the bound is 2³¹−1, so nothing is rejected, and
+// v % n = v & (n−1), so the draws agree.
+type intn struct {
+	n, m uint64
+	max  int32 // largest accepted draw
+}
+
+func newIntn(n int) intn {
+	if n <= 0 || n > math.MaxInt32 {
+		panic(fmt.Sprintf("stats: draw range %d outside [1, 2³¹)", n))
+	}
+	return intn{
+		n:   uint64(n),
+		m:   ^uint64(0)/uint64(n) + 1,
+		max: int32((1 << 31) - 1 - (1<<31)%uint32(n)),
+	}
+}
+
+// fill sets idx to the next len(idx) draws rng.Intn(n) would return,
+// advancing rng by as many Int63 calls.
+func (d intn) fill(idx []int32, rng *rand.Rand) {
+	for k := range idx {
+		v := int32(rng.Int63() >> 32)
+		for v > d.max {
+			v = int32(rng.Int63() >> 32)
+		}
+		hi, _ := bits.Mul64(d.m*uint64(v), d.n)
+		idx[k] = int32(hi)
+	}
 }
 
 // jackknifeAcceleration estimates the BCa acceleration constant from the

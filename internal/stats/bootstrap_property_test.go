@@ -106,28 +106,6 @@ func TestBootstrapDegenerateSamples(t *testing.T) {
 	}
 }
 
-func TestRatioOfMeansCI(t *testing.T) {
-	num := []float64{2, 2.2, 1.9, 2.1}
-	den := []float64{1, 1.1, 0.95, 1.05}
-	ratio, ci, err := RatioOfMeansCI(num, den, 0.95, 2000, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mean(num) / mean(den)
-	if ratio != want {
-		t.Fatalf("ratio = %v, want %v", ratio, want)
-	}
-	if !ci.Contains(ratio) {
-		t.Fatalf("interval %v does not contain the point estimate %v", ci, ratio)
-	}
-	if _, _, err := RatioOfMeansCI(num, den[:2], 0.95, 100, rand.New(rand.NewSource(7))); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, _, err := RatioOfMeansCI([]float64{1}, []float64{0}, 0.95, 100, rand.New(rand.NewSource(7))); err == nil {
-		t.Fatal("zero denominator mean accepted")
-	}
-}
-
 func TestRunUntilTightStopsEarlyOnTightSample(t *testing.T) {
 	// A constant sample is tight after Min draws: no extra samples.
 	calls := 0
