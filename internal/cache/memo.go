@@ -44,8 +44,13 @@ func HashKey(fingerprint string) uint64 {
 // fingerprint hashes identically whether it travels as string or bytes.
 // The durable result store uses it both for canonical-encoding keys and
 // for record checksums.
-func HashBytes(p []byte) uint64 {
-	h := fnv64Offset
+func HashBytes(p []byte) uint64 { return HashBytesFrom(fnv64Offset, p) }
+
+// HashBytesFrom continues an FNV-1a stream whose state is h over p:
+// HashBytesFrom(HashBytes(a), b) is HashBytes of a followed by b, so a
+// key whose long suffix is shared can hash that suffix from where its
+// own prefix left off instead of building the concatenation.
+func HashBytesFrom(h uint64, p []byte) uint64 {
 	for i := 0; i < len(p); i++ {
 		h ^= uint64(p[i])
 		h *= fnv64Prime

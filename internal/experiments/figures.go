@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/platform"
 	"repro/internal/stats"
@@ -90,12 +89,12 @@ func RunCHRSweep(cfg Config) ([]CHRBand, error) {
 			// kinds × reps block is an independent grid and fans out.
 			kinds := []platform.Kind{platform.CN, platform.BM}
 			results := make([]TrialResult, len(kinds)*reps)
-			shared := make([]atomic.Pointer[TrialResult], len(kinds)) // per cell, this step only
+			cells := make([]trialCell, len(kinds)) // this step only
 			err := forEachTrial(cfg, len(results), func(tc *TrialContext, i int) error {
 				kind, rep := kinds[i/reps], i%reps
 				seed := seedFor(cfg.Seed, 40, uint64(ai), uint64(ii), uint64(kind), uint64(rep))
 				spec := platform.Spec{Kind: kind, Mode: platform.Vanilla, Cores: it.Cores}
-				r, err := runTrial(tc, cfg, &shared[i/reps], trialInput{host: cfg.Host, stack: spec.Stack(),
+				r, err := runTrial(tc, cfg, &cells[i/reps], trialInput{host: cfg.Host, stack: spec.Stack(),
 					size: it.Cores, ws: []workload.Workload{a.mk(it)}, memGB: it.MemGB, seed: seed})
 				if err != nil {
 					return err

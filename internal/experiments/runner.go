@@ -18,7 +18,9 @@ package experiments
 // repetitions return it instead of simulating (simulateOrShare). Each of
 // them still passes through the store under its own per-seed key, so the
 // store sees exactly the trials it would have seen otherwise, and which
-// worker simulated first cannot change a byte of the output.
+// worker simulated first cannot change a byte of the output. Those keys
+// differ only in the seed, so a cell encodes the rest of its key once
+// (trialCell) and each repetition only hashes it.
 
 import (
 	"sync/atomic"
@@ -64,17 +66,25 @@ type trialInput struct {
 	ablate machine.Ablation
 }
 
+// trialCell is what the repetitions of one cell share for the length of
+// one experiment call: the seed-free result slot (simulateOrShare) and the
+// cell's key tail (appendKeyTail), published by the first repetition that
+// consults a store.
+type trialCell struct {
+	slot atomic.Pointer[TrialResult]
+	tail atomic.Pointer[[]byte]
+}
+
 // runTrial is runStack behind the trial store: on a hit the simulation is
 // skipped entirely and the stored result replayed — from memory within a
 // process, from disk across processes when the store is durable. A miss
 // goes to simulateOrShare with the cell's seed-free slot.
-func runTrial(tc *TrialContext, cfg Config, slot *atomic.Pointer[TrialResult], in trialInput) (TrialResult, error) {
+func runTrial(tc *TrialContext, cfg Config, cell *trialCell, in trialInput) (TrialResult, error) {
 	if cfg.Memo == nil {
-		return simulateOrShare(tc, cfg, slot, in)
+		return simulateOrShare(tc, cfg, &cell.slot, in)
 	}
-	key := trialKey(cfg, in)
-	return cfg.Memo.GetOrCompute(key, func() (TrialResult, error) {
-		return simulateOrShare(tc, cfg, slot, in)
+	return cfg.Memo.GetOrCompute(cell.key(cfg, in), func() (TrialResult, error) {
+		return simulateOrShare(tc, cfg, &cell.slot, in)
 	})
 }
 

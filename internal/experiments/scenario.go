@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/machine"
@@ -484,10 +483,10 @@ func RunScenario(cfg Config, sc Scenario) (Figure, error) {
 	}
 
 	results := make([]TrialResult, len(g.seeds))
-	// One seed-free slot per (series, cell) for the length of this call.
-	shared := make([]atomic.Pointer[TrialResult], len(g.wlists))
+	// One trialCell per (series, cell) for the length of this call.
+	cells := make([]trialCell, len(g.wlists))
 	err = forEachTrial(cfg, len(results), func(tc *TrialContext, i int) error {
-		r, err := runTrial(tc, cfg, &shared[i/reps], g.input(i))
+		r, err := runTrial(tc, cfg, &cells[i/reps], g.input(i))
 		if err != nil {
 			si, ci := i/(nC*reps), i/reps%nC
 			return fmt.Errorf("%s %s %s: %w", sc.Name, sc.Series[si].Label, sc.Cells[ci].Label, err)

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"sort"
 	"sync/atomic"
 
@@ -123,7 +122,7 @@ type SweepCell struct {
 	// the distribution-free companion to Summary.CI95's Student-t interval,
 	// meaningful at the small rep counts sweeps run with. The worker that
 	// finishes the cell's last repetition computes it. Deterministic: the
-	// resampling RNG is seeded from the cell's content, like the trial
+	// bootstrap seed is derived from the cell's content, like the trial
 	// seeds, so the interval is identical at any worker count and store
 	// warmth.
 	BootCI stats.Interval
@@ -148,11 +147,58 @@ type SweepResult struct {
 func Sweep(cfg Config, spec SweepSpec) (*SweepResult, error) {
 	cfg = cfg.withDefaults()
 	spec = spec.withDefaults(cfg)
-
-	type cellPlan struct {
-		cell SweepCell
-		w    workload.Workload
+	plan, err := planSweep(cfg, spec)
+	if err != nil {
+		return nil, err
 	}
+
+	reps := spec.Reps
+	results := make([]TrialResult, len(plan)*reps)
+	cells := make([]trialCell, len(plan)) // this call only
+	// pending counts each cell's repetitions still running. The worker
+	// whose repetition takes it to zero aggregates the cell, so the
+	// bootstrap intervals run on the executor's lanes instead of serially
+	// after them. The atomic decrement orders every other repetition's
+	// result write before that worker's reads.
+	pending := make([]atomic.Int32, len(plan))
+	for ci := range pending {
+		pending[ci].Store(int32(reps))
+	}
+	err = forEachTrial(cfg, len(results), func(tc *TrialContext, i int) error {
+		ci, rep := i/reps, i%reps
+		pc := &plan[ci]
+		r, err := runTrial(tc, cfg, &cells[ci], pc.input(cfg, rep))
+		if err != nil {
+			return fmt.Errorf("sweep %s %s %dc/%dGB: %w",
+				pc.cell.Platform, pc.cell.Workload, pc.cell.Cores, pc.cell.MemGB, err)
+		}
+		results[i] = r
+		if pending[ci].Add(-1) == 0 {
+			pc.cell.aggregate(cfg.Seed, results[ci*reps:(ci+1)*reps])
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	out := &SweepResult{Spec: spec}
+	for _, pc := range plan {
+		out.Cells = append(out.Cells, pc.cell)
+	}
+	out.computeRatios()
+	return out, nil
+}
+
+// cellPlan is one grid point of a sweep: its cell, to be aggregated, and
+// the workload its trials run.
+type cellPlan struct {
+	cell SweepCell
+	w    workload.Workload
+}
+
+// planSweep resolves a defaulted spec into its grid, platforms outermost.
+func planSweep(cfg Config, spec SweepSpec) ([]cellPlan, error) {
 	var plan []cellPlan
 	hostCPUs := cfg.Host.NumCPUs()
 	for _, p := range spec.Platforms {
@@ -190,50 +236,19 @@ func Sweep(cfg Config, spec SweepSpec) (*SweepResult, error) {
 			}
 		}
 	}
+	return plan, nil
+}
 
-	reps := spec.Reps
-	results := make([]TrialResult, len(plan)*reps)
-	shared := make([]atomic.Pointer[TrialResult], len(plan)) // per cell, this call only
-	// pending counts each cell's repetitions still running. The worker
-	// whose repetition takes it to zero aggregates the cell, so the
-	// bootstrap intervals run on the executor's lanes instead of serially
-	// after them. The atomic decrement orders every other repetition's
-	// result write before that worker's reads.
-	pending := make([]atomic.Int32, len(plan))
-	for ci := range pending {
-		pending[ci].Store(int32(reps))
-	}
-	err := forEachTrial(cfg, len(results), func(tc *TrialContext, i int) error {
-		ci, rep := i/reps, i%reps
-		pc := &plan[ci]
-		// Content-derived seed: a cell draws the same substream in every
-		// sweep that contains it, which is what lets a shared memo skip it.
-		seed := seedFor(cfg.Seed, 0x53_57, // "SW": keeps sweeps decorrelated from figures
-			uint64(pc.cell.Spec.Kind), uint64(pc.cell.Spec.Mode),
-			uint64(pc.cell.Cores), uint64(pc.cell.MemGB),
-			workloadTag(pc.cell.Workload), uint64(rep))
-		r, err := runTrial(tc, cfg, &shared[ci], trialInput{host: cfg.Host, stack: pc.cell.Spec.Stack(),
-			size: pc.cell.Cores, ws: []workload.Workload{pc.w}, memGB: pc.cell.MemGB, seed: seed})
-		if err != nil {
-			return fmt.Errorf("sweep %s %s %dc/%dGB: %w",
-				pc.cell.Platform, pc.cell.Workload, pc.cell.Cores, pc.cell.MemGB, err)
-		}
-		results[i] = r
-		if pending[ci].Add(-1) == 0 {
-			pc.cell.aggregate(cfg.Seed, results[ci*reps:(ci+1)*reps])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	out := &SweepResult{Spec: spec}
-	for _, pc := range plan {
-		out.Cells = append(out.Cells, pc.cell)
-	}
-	out.computeRatios()
-	return out, nil
+// input returns the trial input of repetition rep of the cell.
+func (pc *cellPlan) input(cfg Config, rep int) trialInput {
+	// Content-derived seed: a cell draws the same substream in every
+	// sweep that contains it, which is what lets a shared memo skip it.
+	seed := seedFor(cfg.Seed, 0x53_57, // "SW": keeps sweeps decorrelated from figures
+		uint64(pc.cell.Spec.Kind), uint64(pc.cell.Spec.Mode),
+		uint64(pc.cell.Cores), uint64(pc.cell.MemGB),
+		workloadTag(pc.cell.Workload), uint64(rep))
+	return trialInput{host: cfg.Host, stack: pc.cell.Spec.Stack(),
+		size: pc.cell.Cores, ws: []workload.Workload{pc.w}, memGB: pc.cell.MemGB, seed: seed}
 }
 
 // aggregate fills the cell's Summary, BootCI and Breakdown from its
@@ -251,8 +266,7 @@ func (c *SweepCell) aggregate(seed uint64, results []TrialResult) {
 	bseed := seedFor(seed, 0x42_53, // "BS": decorrelated from trial streams
 		uint64(c.Spec.Kind), uint64(c.Spec.Mode),
 		uint64(c.Cores), uint64(c.MemGB), workloadTag(c.Workload))
-	rng := rand.New(rand.NewSource(int64(bseed & math.MaxInt64)))
-	c.BootCI = stats.BootstrapCI(vals, 0.95, bootResamples, rng)
+	c.BootCI = stats.BootstrapCI(vals, 0.95, bootResamples, int64(bseed&math.MaxInt64))
 }
 
 // workloadTag folds a workload name into the seed derivation.

@@ -14,8 +14,10 @@ package experiments
 // tests in trialkey_test.go enforce that discipline.
 
 import (
+	"encoding/binary"
 	"fmt"
 
+	"repro/internal/cache"
 	"repro/internal/hypervisor"
 	"repro/internal/resultstore"
 	"repro/internal/workload"
@@ -31,15 +33,23 @@ func trialKey(cfg Config, in trialInput) uint64 {
 	var e resultstore.Enc
 	e.Version(trialKeySchema)
 	e.U64(in.seed)
+	appendKeyTail(&e, cfg, in)
+	return e.Sum64()
+}
+
+// appendKeyTail appends everything of the key after the seed: all of it is
+// fixed within a cell, so the repetitions of one cell share these bytes
+// (trialCell.key) and only the version byte and the seed are theirs.
+func appendKeyTail(e *resultstore.Enc, cfg Config, in trialInput) {
 	e.Str(in.stack.Fingerprint())
 	e.Int(in.size)
 	e.Str(in.host.Fingerprint())
-	appendHVKey(&e, hypervisor.ParamsFor(in.ablate))
+	appendHVKey(e, hypervisor.ParamsFor(in.ablate))
 	e.I64(int64(cfg.TimeLimit))
 	e.Int(in.memGB)
 	e.Int(len(in.ws))
 	for _, w := range in.ws {
-		appendWorkloadKey(&e, w)
+		appendWorkloadKey(e, w)
 	}
 	// Ablations are appended only when present: every unablated key stays
 	// byte-for-byte what it was before ablations were keyed, so existing
@@ -50,7 +60,28 @@ func trialKey(cfg Config, in trialInput) uint64 {
 		e.Str("ablate")
 		e.U64(uint64(in.ablate))
 	}
-	return e.Sum64()
+}
+
+// key returns trialKey(cfg, in) for one repetition of the cell: it hashes
+// the version byte and the seed, then continues the hash over the shared
+// tail, so a repetition that finds the tail published encodes and
+// allocates nothing. One that does not encodes it and publishes it. Two
+// repetitions racing to do so encode equal bytes, and neither waits for
+// the other: with the two-repetition cells of quick figures, the workers
+// run adjacent trials of the same cell.
+func (c *trialCell) key(cfg Config, in trialInput) uint64 {
+	tail := c.tail.Load()
+	if tail == nil {
+		var e resultstore.Enc
+		appendKeyTail(&e, cfg, in)
+		b := e.Bytes()
+		tail = &b
+		c.tail.CompareAndSwap(nil, tail)
+	}
+	var head [9]byte
+	head[0] = trialKeySchema
+	binary.LittleEndian.PutUint64(head[1:], in.seed)
+	return cache.HashBytesFrom(cache.HashBytes(head[:]), *tail)
 }
 
 // appendHVKey walks hypervisor.Params in declaration order.

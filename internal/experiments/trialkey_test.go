@@ -1,13 +1,17 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/hypervisor"
 	"repro/internal/machine"
 	"repro/internal/platform"
+	"repro/internal/resultstore"
 	"repro/internal/sched"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -138,5 +142,119 @@ func TestCanonicalEncodersCoverEveryField(t *testing.T) {
 			t.Errorf("%s fields changed:\n got  %s\n want %s\nupdate the canonical encoder (trialkey.go / trialstore.go) and bump its schema version, then re-pin this list",
 				name, got, p.want)
 		}
+	}
+}
+
+// keyRecorder is a trial store that holds every key: it records each key a
+// run asks for and answers it with a canned result, so a run goes through
+// every trial's key without simulating any.
+type keyRecorder struct {
+	mu   sync.Mutex
+	keys []uint64
+}
+
+func (k *keyRecorder) Get(key uint64) (TrialResult, bool) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.keys = append(k.keys, key)
+	return TrialResult{Metric: 1}, true
+}
+func (k *keyRecorder) Put(uint64, TrialResult) {}
+func (k *keyRecorder) GetOrCompute(key uint64, _ func() (TrialResult, error)) (TrialResult, error) {
+	r, _ := k.Get(key)
+	return r, nil
+}
+func (k *keyRecorder) Stats() resultstore.Stats { return resultstore.Stats{} }
+func (k *keyRecorder) Close() error             { return nil }
+
+// checkCellKeys fails unless the keys a run asked its store for are, as a
+// multiset, the trialKey of every one of its trials.
+func checkCellKeys(t *testing.T, name string, got []uint64, want []uint64) {
+	t.Helper()
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("%s: the per-cell key path asked for %d keys that differ from the %d trialKey values", name, len(got), len(want))
+	}
+}
+
+// TestCellKeysMatchTrialKey: the key a repetition builds from its cell's
+// shared tail (trialCell.key) is trialKey of its own input, for every
+// trial of every registered scenario at both scales, plain and ablated,
+// and of the
+// benchmark's sweep grid — so the cells group only trials whose inputs
+// differ in the seed alone, and existing durable stores keep hitting.
+func TestCellKeysMatchTrialKey(t *testing.T) {
+	// Each scenario also runs with its last series ablated, so ablated key
+	// tails are covered too.
+	var scenarios []Scenario
+	for _, sc := range Scenarios() {
+		ab := sc.detach()
+		ab.Name += "-ablated"
+		ab.Series[len(ab.Series)-1].Ablate = machine.AblateNUMA | machine.AblateVMFastpath
+		scenarios = append(scenarios, sc, ab)
+	}
+	for _, quick := range []bool{true, false} {
+		for _, sc := range scenarios {
+			rec := new(keyRecorder)
+			cfg := Config{Seed: 42, Quick: quick, Memo: rec}.withDefaults()
+			if _, err := RunScenario(cfg, sc); err != nil {
+				t.Fatalf("%s (quick %v): %v", sc.Name, quick, err)
+			}
+			sc := sc.withDefaults()
+			g, err := planScenario(cfg, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []uint64
+			for i := range g.seeds {
+				want = append(want, trialKey(cfg, g.input(i)))
+			}
+			checkCellKeys(t, fmt.Sprintf("%s (quick %v)", sc.Name, quick), rec.keys, want)
+		}
+	}
+
+	rec := new(keyRecorder)
+	cfg := Config{Seed: 42, Quick: true, Memo: rec}.withDefaults()
+	spec := SweepSpec{Workloads: []string{"ffmpeg", "wordpress", "microservice"}, Reps: 50}
+	if _, err := Sweep(cfg, spec); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := planSweep(cfg, spec.withDefaults(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []uint64
+	for ci := range plan {
+		for rep := range spec.Reps {
+			want = append(want, trialKey(cfg, plan[ci].input(cfg, rep)))
+		}
+	}
+	if len(want) != 6300 {
+		t.Fatalf("benchmark sweep grid has %d trials, want 6300", len(want))
+	}
+	checkCellKeys(t, "benchmark sweep", rec.keys, want)
+}
+
+// TestWarmHitKeyAllocFree: a warm hit builds its key from the cell's
+// shared tail without allocating; runTrial's one allocation is the miss
+// callback it hands the store.
+func TestWarmHitKeyAllocFree(t *testing.T) {
+	cfg := Config{Seed: 42, Memo: NewTrialMemo()}.withDefaults()
+	stack := platform.Spec{Kind: platform.VMCN, Mode: platform.Vanilla, Cores: 8}.Stack()
+	in := trialInput{cfg.Host, stack, 8, []workload.Workload{workload.DefaultNoSQL()}, 32, 9, machine.AblateNUMA}
+	cfg.Memo.Put(trialKey(cfg, in), TrialResult{Metric: 3})
+	cell := new(trialCell)
+	if r, err := runTrial(nil, cfg, cell, in); err != nil || r.Metric != 3 {
+		t.Fatalf("warm runTrial = %v, %v; want the stored result", r, err)
+	}
+	if avg := testing.AllocsPerRun(100, func() { cell.key(cfg, in) }); avg != 0 {
+		t.Fatalf("trialCell.key made %v allocations per warm key, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() { runTrial(nil, cfg, cell, in) }); avg != 1 {
+		t.Fatalf("warm runTrial made %v allocations, want 1 (the miss callback)", avg)
+	}
+	if hits := cfg.Memo.Stats().Hits; hits != 1+101 {
+		t.Fatalf("store counted %d hits, want every warm call to hit", hits)
 	}
 }

@@ -14,7 +14,6 @@ package hypotheses
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/experiments"
 	"repro/internal/sim"
@@ -148,8 +147,7 @@ func Run(h Hypothesis, cfg Config) (Finding, error) {
 		return Finding{}, err
 	}
 
-	rng := rand.New(rand.NewSource(bootSeed(h.Name)))
-	ci := stats.BootstrapCIBCa(values, 0.95, cfg.Resamples, rng)
+	ci := stats.BootstrapCIBCa(values, 0.95, cfg.Resamples, bootSeed(h.Name))
 	f := Finding{
 		Hypothesis: h,
 		Effect:     stats.Summarize(values).Mean,

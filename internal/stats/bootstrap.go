@@ -9,7 +9,7 @@ package stats
 // findings report), and RunUntilTight the adaptive rep-count loop: keep
 // adding repetitions until the interval is tight relative to the mean, or
 // a cap is hit. All of it is deterministic — every resample draw comes
-// from an injected *rand.Rand (or a caller-chosen seed), never from global
+// from math/rand's stream under a caller-chosen seed, never from global
 // randomness — because the findings table is locked byte-for-byte by a
 // golden test.
 
@@ -19,6 +19,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"sort"
+	"sync"
 )
 
 // Interval is a two-sided confidence interval with its nominal coverage.
@@ -49,25 +50,21 @@ func nanInterval(confidence float64) Interval {
 }
 
 // BootstrapCI returns the percentile bootstrap confidence interval of the
-// mean of xs: resamples bootstrap means are drawn with replacement using
-// rng, and the interval is the (α/2, 1−α/2) quantile pair. An empty sample
-// yields a NaN interval; a single observation yields the degenerate
-// [x, x].
-func BootstrapCI(xs []float64, confidence float64, resamples int, rng *rand.Rand) Interval {
-	means := bootstrapMeans(xs, resamples, rng)
+// mean of xs: resamples bootstrap means are drawn with replacement from
+// math/rand's stream under seed, and the interval is the (α/2, 1−α/2)
+// quantile pair by nearest rank. An empty sample yields a NaN interval; a
+// single observation yields the degenerate [x, x].
+func BootstrapCI(xs []float64, confidence float64, resamples int, seed int64) Interval {
+	means := bootstrapMeans(xs, resamples, seed)
 	if means == nil {
 		if len(xs) == 1 {
 			return Interval{Lo: xs[0], Hi: xs[0], Confidence: confidence}
 		}
 		return nanInterval(confidence)
 	}
-	sort.Float64s(means)
 	alpha := (1 - confidence) / 2
-	return Interval{
-		Lo:         quantileSorted(means, alpha),
-		Hi:         quantileSorted(means, 1-alpha),
-		Confidence: confidence,
-	}
+	lo, hi := selectRanks(means, nearestRank(len(means), alpha), nearestRank(len(means), 1-alpha))
+	return Interval{Lo: lo, Hi: hi, Confidence: confidence}
 }
 
 // BootstrapCIBCa returns the bias-corrected and accelerated (BCa)
@@ -77,15 +74,15 @@ func BootstrapCI(xs []float64, confidence float64, resamples int, rng *rand.Rand
 // the acceleration a (from the jackknife skewness of the mean). For
 // symmetric samples it agrees with BootstrapCI; for the skewed ratio
 // distributions hypothesis effects follow it keeps the nominal coverage.
-func BootstrapCIBCa(xs []float64, confidence float64, resamples int, rng *rand.Rand) Interval {
-	means := bootstrapMeans(xs, resamples, rng)
+// The resamples are drawn as BootstrapCI draws them.
+func BootstrapCIBCa(xs []float64, confidence float64, resamples int, seed int64) Interval {
+	means := bootstrapMeans(xs, resamples, seed)
 	if means == nil {
 		if len(xs) == 1 {
 			return Interval{Lo: xs[0], Hi: xs[0], Confidence: confidence}
 		}
 		return nanInterval(confidence)
 	}
-	sort.Float64s(means)
 	theta := mean(xs)
 	if math.IsNaN(theta) {
 		return nanInterval(confidence)
@@ -112,13 +109,8 @@ func BootstrapCIBCa(xs []float64, confidence float64, resamples int, rng *rand.R
 		num := z0 + z
 		return NormalCDF(z0 + num/(1-accel*num))
 	}
-	lo := adj(NormalQuantile(alpha))
-	hi := adj(NormalQuantile(1 - alpha))
-	return Interval{
-		Lo:         quantileSorted(means, lo),
-		Hi:         quantileSorted(means, hi),
-		Confidence: confidence,
-	}
+	lo, hi := selectRanks(means, nearestRank(b, adj(NormalQuantile(alpha))), nearestRank(b, adj(NormalQuantile(1-alpha))))
+	return Interval{Lo: lo, Hi: hi, Confidence: confidence}
 }
 
 // TightOpts configures RunUntilTight.
@@ -175,8 +167,7 @@ func RunUntilTight(opts TightOpts, sample func(i int) (float64, error)) ([]float
 		if len(values) < opts.Min {
 			continue
 		}
-		rng := rand.New(rand.NewSource(opts.Seed))
-		ci = BootstrapCI(values, opts.Confidence, opts.Resamples, rng)
+		ci = BootstrapCI(values, opts.Confidence, opts.Resamples, opts.Seed)
 		if opts.RelTol > 0 {
 			if m := math.Abs(mean(values)); m > 0 && ci.HalfWidth() <= opts.RelTol*m {
 				break
@@ -188,30 +179,85 @@ func RunUntilTight(opts TightOpts, sample func(i int) (float64, error)) ([]float
 
 // bootstrapMeans draws the bootstrap distribution of the mean, or nil when
 // the sample or configuration cannot support one (empty or singleton
-// sample, no resamples, no RNG).
-func bootstrapMeans(xs []float64, resamples int, rng *rand.Rand) []float64 {
+// sample, no resamples). Resample b's indices are draws b·n .. b·n+n−1 of
+// rand.New(rand.NewSource(seed)).Intn(n), summed in draw order.
+func bootstrapMeans(xs []float64, resamples int, seed int64) []float64 {
 	n := len(xs)
-	if n < 2 || resamples <= 0 || rng == nil {
+	if n < 2 || resamples <= 0 {
 		return nil
 	}
 	draw := newIntn(n)
-	idx := make([]int32, n)
+	var s stream
+	s.seed(seed)
+	var idx [256]int32 // one chunk of a resample's draws, on the stack
 	means := make([]float64, resamples)
 	for b := range means {
-		draw.fill(idx, rng)
 		var sum float64
-		for _, i := range idx {
-			sum += xs[i]
+		for k := 0; k < n; k += len(idx) {
+			chunk := idx[:min(len(idx), n-k)]
+			draw.fill(chunk, &s)
+			for _, i := range chunk {
+				sum += xs[i]
+			}
 		}
 		means[b] = sum / float64(n)
 	}
 	return means
 }
 
-// intn draws from [0, n) the exact values rng.Intn(n) would, for
+// math/rand's generator is an additive lagged Fibonacci generator:
+// output n is x[n] = x[n−rngLen] + x[n−rngTap] (mod 2⁶⁴), and Int63 masks
+// off the top bit of that sum.
+const (
+	rngLen = 607
+	rngTap = 273
+)
+
+// stream continues the output stream of rand.NewSource(seed) without an
+// interface call per draw. Seeding takes the source's first rngLen outputs
+// through rand.Source64's Uint64 — the full 64-bit sums: Int63 drops the
+// top bit, and the recurrence carries it. Every later block of rngLen
+// outputs is computed in place from the previous one by the recurrence.
+// Go 1 freezes math/rand's value stream, so the continuation stays exact.
+type stream struct {
+	x   [rngLen]uint64 // outputs; x[pos:] are still to be returned
+	pos int
+}
+
+// sources recycles the seeding generators: rand.NewSource allocates about
+// 5 KB, and only its first rngLen outputs are needed.
+var sources = sync.Pool{New: func() any { return rand.NewSource(0).(rand.Source64) }}
+
+// seed positions s at the start of rand.NewSource(seed)'s stream.
+func (s *stream) seed(seed int64) {
+	src := sources.Get().(rand.Source64)
+	src.Seed(seed)
+	for i := range s.x {
+		s.x[i] = src.Uint64()
+	}
+	sources.Put(src)
+	s.pos = 0
+}
+
+// refill replaces the block just consumed with the next rngLen outputs:
+// slot i holds x[n] and becomes x[n+rngLen] = x[n] + x[n+rngLen−rngTap],
+// which sits rngLen−rngTap slots later in the old block for
+// i < rngTap, and rngTap slots earlier in the new block after that.
+func (s *stream) refill() {
+	x := &s.x
+	for i := 0; i < rngTap; i++ {
+		x[i] += x[i+rngLen-rngTap]
+	}
+	for i := rngTap; i < rngLen; i++ {
+		x[i] += x[i-rngTap]
+	}
+	s.pos = 0
+}
+
+// intn draws from [0, n) the exact values rand.Intn(n) would, for
 // 0 < n < 2³¹, at a fraction of the cost. Go 1 freezes math/rand's value
 // stream, so a replica of (*Rand).Int31n stays exact: take the top 31 bits
-// of one Int63 call, reject values above the largest multiple of n, and
+// of one Int63 output, reject values above the largest multiple of n, and
 // reduce the rest modulo n. Int31n recomputes its rejection bound with a
 // modulo on every draw and reduces with a second one; here the bound is
 // computed once per bootstrap call, and v % n is Lemire's fastmod (Lemire,
@@ -236,18 +282,30 @@ func newIntn(n int) intn {
 	}
 }
 
-// fill sets idx to the next len(idx) draws rng.Intn(n) would return,
-// advancing rng by as many Int63 calls.
-func (d intn) fill(idx []int32, rng *rand.Rand) {
+// fill sets idx to the next len(idx) draws rand.Intn(n) would return at
+// s's position, and advances s past every output they consumed.
+func (d intn) fill(idx []int32, s *stream) {
+	x, pos := &s.x, s.pos
 	for k := range idx {
-		v := int32(rng.Int63() >> 32)
-		for v > d.max {
-			v = int32(rng.Int63() >> 32)
+		for {
+			if pos == rngLen {
+				s.refill()
+				pos = 0
+			}
+			v := int31(x[pos])
+			pos++
+			if v <= d.max {
+				hi, _ := bits.Mul64(d.m*uint64(v), d.n)
+				idx[k] = int32(hi)
+				break
+			}
 		}
-		hi, _ := bits.Mul64(d.m*uint64(v), d.n)
-		idx[k] = int32(hi)
 	}
+	s.pos = pos
 }
+
+// int31 is (*Rand).Int31 of one output: the top 31 bits of its Int63.
+func int31(u uint64) int32 { return int32(u << 1 >> 33) }
 
 // jackknifeAcceleration estimates the BCa acceleration constant from the
 // skewness of the leave-one-out means. A sample whose jackknife variance
@@ -280,26 +338,94 @@ func jackknifeAcceleration(xs []float64) float64 {
 	return num / (6 * math.Pow(den, 1.5))
 }
 
-// quantileSorted returns the q-th (0..1) quantile of a sorted sample by
-// nearest rank, clamping out-of-range and NaN q to the extremes.
-func quantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
+// nearestRank returns the 0-based nearest-rank index of the q-th (0..1)
+// quantile of n sorted values, clamping out-of-range and NaN q to the
+// extremes.
+func nearestRank(n int, q float64) int {
 	if math.IsNaN(q) || q <= 0 {
-		return sorted[0]
+		return 0
 	}
 	if q >= 1 {
-		return sorted[len(sorted)-1]
+		return n - 1
 	}
-	rank := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
+	return min(max(int(math.Ceil(q*float64(n)))-1, 0), n-1)
+}
+
+// selectRanks returns the values at 0-based ranks i and j of a in
+// sort.Float64s order (NaN lowest) without sorting it: NaNs are moved to
+// the front, then the lower rank is selected among the rest and the
+// higher one above it. a is permuted.
+func selectRanks(a []float64, i, j int) (float64, float64) {
+	nan := 0
+	for k, x := range a {
+		if x != x {
+			a[k], a[nan] = a[nan], x
+			nan++
+		}
 	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
+	pick := func(rank, from int) float64 {
+		if rank < nan {
+			return a[rank]
+		}
+		return selectNth(a[from:], rank-from)
 	}
-	return sorted[rank]
+	lo, hi := min(i, j), max(i, j)
+	vlo := pick(lo, nan)
+	vhi := pick(hi, max(lo, nan))
+	if i > j {
+		return vhi, vlo
+	}
+	return vlo, vhi
+}
+
+// selectNth returns the k-th smallest of a, which holds no NaN, leaving it
+// at a[k] with nothing larger before it and nothing smaller after it
+// (Hoare's FIND with a median-of-three pivot). A range still open after
+// 2·bits.Len(n) partitions is sorted instead, which bounds the worst case
+// at O(n log n).
+func selectNth(a []float64, k int) float64 {
+	l, r := 0, len(a)-1
+	for budget := 2 * bits.Len(uint(len(a))); l < r; budget-- {
+		if budget == 0 {
+			sort.Float64s(a[l : r+1])
+			break
+		}
+		m := l + (r-l)/2
+		if a[m] < a[l] {
+			a[l], a[m] = a[m], a[l]
+		}
+		if a[r] < a[l] {
+			a[l], a[r] = a[r], a[l]
+		}
+		if a[r] < a[m] {
+			a[m], a[r] = a[r], a[m]
+		}
+		p := a[m]
+		i, j := l, r
+		for i <= j {
+			for a[i] < p {
+				i++
+			}
+			for p < a[j] {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// a[l..j] ≤ p ≤ a[i..r], and everything between equals p.
+		switch {
+		case k <= j:
+			r = j
+		case k >= i:
+			l = i
+		default:
+			return a[k]
+		}
+	}
+	return a[k]
 }
 
 // mean returns the arithmetic mean (NaN for an empty sample).

@@ -30,8 +30,7 @@ func TestBootstrapCIContainsSampleMean(t *testing.T) {
 		n := 3 + src.Intn(30)
 		xs := sampleNormal(src, n, 10+src.Float64()*5, 0.5+src.Float64())
 		m := mean(xs)
-		rng := rand.New(rand.NewSource(int64(trial)))
-		ci := BootstrapCI(xs, 0.95, 2000, rng)
+		ci := BootstrapCI(xs, 0.95, 2000, int64(trial))
 		if !ci.Contains(m) {
 			t.Fatalf("trial %d: percentile CI %v does not contain sample mean %v (n=%d)", trial, ci, m, n)
 		}
@@ -41,7 +40,7 @@ func TestBootstrapCIContainsSampleMean(t *testing.T) {
 		// Both interval kinds stay inside the sample's range: a bootstrap
 		// mean can never leave [min, max] of the data.
 		s := Summarize(xs)
-		bca := BootstrapCIBCa(xs, 0.95, 2000, rand.New(rand.NewSource(int64(trial))))
+		bca := BootstrapCIBCa(xs, 0.95, 2000, int64(trial))
 		for _, iv := range []Interval{ci, bca} {
 			if iv.Lo < s.Min || iv.Hi > s.Max {
 				t.Fatalf("trial %d: interval %v outside data range [%v, %v]", trial, iv, s.Min, s.Max)
@@ -60,7 +59,7 @@ func TestBootstrapCIShrinksWithN(t *testing.T) {
 		const draws = 20
 		for d := 0; d < draws; d++ {
 			xs := sampleNormal(src, n, 20, 2)
-			ci := BootstrapCI(xs, 0.95, 1000, rand.New(rand.NewSource(int64(d))))
+			ci := BootstrapCI(xs, 0.95, 1000, int64(d))
 			total += ci.HalfWidth()
 		}
 		return total / draws
@@ -73,34 +72,33 @@ func TestBootstrapCIShrinksWithN(t *testing.T) {
 
 func TestBootstrapCIDeterministicForSeed(t *testing.T) {
 	xs := sampleNormal(rand.New(rand.NewSource(3)), 12, 5, 1)
-	a := BootstrapCI(xs, 0.95, 1000, rand.New(rand.NewSource(99)))
-	b := BootstrapCI(xs, 0.95, 1000, rand.New(rand.NewSource(99)))
+	a := BootstrapCI(xs, 0.95, 1000, 99)
+	b := BootstrapCI(xs, 0.95, 1000, 99)
 	if a != b {
 		t.Fatalf("same seed, different intervals: %v vs %v", a, b)
 	}
-	ba := BootstrapCIBCa(xs, 0.95, 1000, rand.New(rand.NewSource(99)))
-	bb := BootstrapCIBCa(xs, 0.95, 1000, rand.New(rand.NewSource(99)))
+	ba := BootstrapCIBCa(xs, 0.95, 1000, 99)
+	bb := BootstrapCIBCa(xs, 0.95, 1000, 99)
 	if ba != bb {
 		t.Fatalf("same seed, different BCa intervals: %v vs %v", ba, bb)
 	}
-	c := BootstrapCI(xs, 0.95, 1000, rand.New(rand.NewSource(100)))
+	c := BootstrapCI(xs, 0.95, 1000, 100)
 	if a == c {
-		t.Fatalf("different seeds produced identical intervals %v — RNG not injected?", a)
+		t.Fatalf("different seeds produced identical intervals %v — seed ignored?", a)
 	}
 }
 
 func TestBootstrapDegenerateSamples(t *testing.T) {
-	rng := func() *rand.Rand { return rand.New(rand.NewSource(1)) }
-	if ci := BootstrapCI(nil, 0.95, 100, rng()); !math.IsNaN(ci.Lo) || !math.IsNaN(ci.Hi) {
+	if ci := BootstrapCI(nil, 0.95, 100, 1); !math.IsNaN(ci.Lo) || !math.IsNaN(ci.Hi) {
 		t.Fatalf("empty sample: %v, want NaN interval", ci)
 	}
-	if ci := BootstrapCI([]float64{4.2}, 0.95, 100, rng()); ci.Lo != 4.2 || ci.Hi != 4.2 {
+	if ci := BootstrapCI([]float64{4.2}, 0.95, 100, 1); ci.Lo != 4.2 || ci.Hi != 4.2 {
 		t.Fatalf("singleton sample: %v, want [4.2, 4.2]", ci)
 	}
 	// A constant sample has a point-mass bootstrap distribution; BCa's bias
 	// clamp must keep the interval finite.
 	xs := []float64{3, 3, 3, 3, 3}
-	ci := BootstrapCIBCa(xs, 0.95, 500, rng())
+	ci := BootstrapCIBCa(xs, 0.95, 500, 1)
 	if ci.Lo != 3 || ci.Hi != 3 {
 		t.Fatalf("constant sample BCa: %v, want [3, 3]", ci)
 	}
@@ -192,5 +190,18 @@ func TestNormalQuantileRoundTrip(t *testing.T) {
 	}
 	if !math.IsNaN(NormalQuantile(math.NaN())) {
 		t.Fatal("NormalQuantile(NaN) must propagate NaN")
+	}
+}
+
+// TestBootstrapCIAllocatesOnlyMeans guards the resampling hot path: the
+// draw stream and each resample's index chunk live on the stack and the
+// seeding generator is recycled, so the resample means are the one
+// allocation — at a sample longer than one index chunk too.
+func TestBootstrapCIAllocatesOnlyMeans(t *testing.T) {
+	for _, n := range []int{50, 600} {
+		xs := sampleNormal(rand.New(rand.NewSource(4)), n, 10, 1)
+		if avg := testing.AllocsPerRun(50, func() { BootstrapCI(xs, 0.95, 1000, 7) }); avg != 1 {
+			t.Fatalf("n=%d: BootstrapCI made %v allocations per call, want 1 (the resample means)", n, avg)
+		}
 	}
 }
