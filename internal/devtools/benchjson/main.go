@@ -1,6 +1,7 @@
-// Command benchjson runs CI's three same-run fraction gates. It measures
-// five benchmarks of ./internal/experiments and fails when one of them
-// costs more than its fixed fraction of another:
+// Command benchjson runs CI's four same-run fraction gates. It measures
+// five benchmarks of ./internal/experiments and two of ./internal/stats,
+// and fails when one of them costs more than its fixed fraction of
+// another:
 //
 //   - ScenarioDispatch ≤ 0.05 × QuickFig3Serial: what the declarative
 //     engine adds to a figure run (registry lookup, validation, workload
@@ -8,7 +9,10 @@
 //   - StoreHit ≤ 1.10 × MemoHit: a disk-backed warm hit stays within 10%
 //     of the in-memory memo hit, so durability is an open-time cost;
 //   - MemoHitParallel ≤ 1.50 × MemoHit: the sharded memo under
-//     GOMAXPROCS-way warm-key contention stays near the serial hit.
+//     GOMAXPROCS-way warm-key contention stays near the serial hit;
+//   - BootstrapCISweepCell ≤ 0.50 × BootstrapCIReference: a pinsweep
+//     cell's bootstrap interval costs at most half of the textbook
+//     rand.Intn-and-sort loop it reproduces bit for bit.
 //
 // Both sides of a gate come from the same run on the same machine, so the
 // gates hold on any runner. Each benchmark runs three times and keeps its
@@ -28,21 +32,22 @@ import (
 	"strings"
 )
 
-// pkg holds all five benchmarks.
-const pkg = "./internal/experiments"
-
-// runs lists what the gates read, one `go test` invocation each. Six
-// iterations of the figure are ~150 ms a sample; the ~80 ns hits get a
-// full second (~10M iterations) each, and MemoHit and StoreHit share a
-// process so their 10% comparison sees the same warm-up.
+// runs lists what the gates read, one `go test` invocation each, with the
+// package that holds its benchmarks. Six iterations of the figure are
+// ~150 ms a sample; the ~80 ns hits get a full second (~10M iterations)
+// each, and MemoHit and StoreHit share a process so their 10% comparison
+// sees the same warm-up; so do the two bootstrap benchmarks, a few
+// hundred µs a call.
 var runs = []struct {
+	pkg       string
 	benchtime string
 	names     []string
 }{
-	{"6x", []string{"QuickFig3Serial"}},
-	{"0.3s", []string{"ScenarioDispatch"}},
-	{"1s", []string{"MemoHit", "StoreHit"}},
-	{"1s", []string{"MemoHitParallel"}},
+	{"./internal/experiments", "6x", []string{"QuickFig3Serial"}},
+	{"./internal/experiments", "0.3s", []string{"ScenarioDispatch"}},
+	{"./internal/experiments", "1s", []string{"MemoHit", "StoreHit"}},
+	{"./internal/experiments", "1s", []string{"MemoHitParallel"}},
+	{"./internal/stats", "0.5s", []string{"BootstrapCISweepCell", "BootstrapCIReference"}},
 }
 
 // gates asserts small ≤ frac × big on the measured ns/op.
@@ -53,6 +58,7 @@ var gates = []struct {
 	{"ScenarioDispatch", "QuickFig3Serial", 0.05},
 	{"StoreHit", "MemoHit", 1.10},
 	{"MemoHitParallel", "MemoHit", 1.50},
+	{"BootstrapCISweepCell", "BootstrapCIReference", 0.50},
 }
 
 // benchLine matches `BenchmarkName-8  123  456 ns/op ...`.
@@ -62,7 +68,7 @@ func main() {
 	ns := map[string]float64{}
 	for _, r := range runs {
 		args := []string{"test", "-run", "^$", "-bench", "^Benchmark(" + strings.Join(r.names, "|") + ")$",
-			"-benchtime", r.benchtime, "-count", "3", pkg}
+			"-benchtime", r.benchtime, "-count", "3", r.pkg}
 		fmt.Fprintf(os.Stderr, "benchjson: go %s\n", strings.Join(args, " "))
 		cmd := exec.Command("go", args...)
 		cmd.Stderr = os.Stderr
@@ -71,7 +77,7 @@ func main() {
 			fatalf("go test: %v", err)
 		}
 		for _, name := range r.names {
-			if ns[name], err = bestNsPerOp(string(out), name); err != nil {
+			if ns[name], err = bestNsPerOp(string(out), r.pkg, name); err != nil {
 				fatalf("%v", err)
 			}
 		}
@@ -93,10 +99,10 @@ func main() {
 }
 
 // bestNsPerOp returns the lowest ns/op among name's lines in one
-// `go test -bench` output, the usual noise-rejection rule across -count
-// runs. A name with no line is an error, so a renamed or deleted
+// `go test -bench` output of pkg, the usual noise-rejection rule across
+// -count runs. A name with no line is an error, so a renamed or deleted
 // benchmark fails the gate instead of vacating it.
-func bestNsPerOp(output, name string) (float64, error) {
+func bestNsPerOp(output, pkg, name string) (float64, error) {
 	best, found := 0.0, false
 	for _, line := range strings.Split(output, "\n") {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))

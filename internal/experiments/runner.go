@@ -78,14 +78,24 @@ type trialCell struct {
 // runTrial is runStack behind the trial store: on a hit the simulation is
 // skipped entirely and the stored result replayed — from memory within a
 // process, from disk across processes when the store is durable. A miss
-// goes to simulateOrShare with the cell's seed-free slot.
+// goes to simulateOrShare with the cell's seed-free slot. With a context
+// the miss callback is the worker's own (TrialContext.simulatePending),
+// so a warm hit allocates nothing; a nil context builds a closure.
 func runTrial(tc *TrialContext, cfg Config, cell *trialCell, in trialInput) (TrialResult, error) {
 	if cfg.Memo == nil {
 		return simulateOrShare(tc, cfg, &cell.slot, in)
 	}
-	return cfg.Memo.GetOrCompute(cell.key(cfg, in), func() (TrialResult, error) {
-		return simulateOrShare(tc, cfg, &cell.slot, in)
-	})
+	key := cell.key(cfg, in)
+	if tc == nil {
+		return cfg.Memo.GetOrCompute(key, func() (TrialResult, error) {
+			return simulateOrShare(tc, cfg, &cell.slot, in)
+		})
+	}
+	if tc.miss == nil {
+		tc.miss = tc.simulatePending
+	}
+	tc.pending = pendingTrial{cfg: cfg, cell: cell, in: in}
+	return cfg.Memo.GetOrCompute(key, tc.miss)
 }
 
 // simulateOrShare answers one repetition of a cell. slot is the cell's

@@ -31,6 +31,26 @@ type TrialContext struct {
 	// insts is the reusable per-trial instance buffer (one slot per tenant),
 	// so trials allocate no instance list regardless of tenant count.
 	insts []workload.Instance
+	// miss is simulatePending bound once, the store's miss callback for
+	// every trial this worker runs; pending is the trial it answers.
+	miss    func() (TrialResult, error)
+	pending pendingTrial
+}
+
+// pendingTrial is what runTrial's miss callback needs of the trial the
+// store is asked for.
+type pendingTrial struct {
+	cfg  Config
+	cell *trialCell
+	in   trialInput
+}
+
+// simulatePending simulates, or shares, the trial runTrial last handed
+// the store. Stores call the miss callback before GetOrCompute returns,
+// and a context serves one trial at a time, so pending is that trial.
+func (tc *TrialContext) simulatePending() (TrialResult, error) {
+	p := &tc.pending
+	return simulateOrShare(tc, p.cfg, &p.cell.slot, p.in)
 }
 
 // Process-wide deployment counters, surfaced by the CLIs' -v stats.

@@ -52,16 +52,18 @@ func nanInterval(confidence float64) Interval {
 // BootstrapCI returns the percentile bootstrap confidence interval of the
 // mean of xs: resamples bootstrap means are drawn with replacement from
 // math/rand's stream under seed, and the interval is the (α/2, 1−α/2)
-// quantile pair by nearest rank. An empty sample yields a NaN interval; a
-// single observation yields the degenerate [x, x].
+// quantile pair by nearest rank. An empty sample or no resamples yields a
+// NaN interval; a single observation yields the degenerate [x, x], and so
+// does a sample whose values all have the same bits, at its mean.
 func BootstrapCI(xs []float64, confidence float64, resamples int, seed int64) Interval {
-	means := bootstrapMeans(xs, resamples, seed)
-	if means == nil {
-		if len(xs) == 1 {
-			return Interval{Lo: xs[0], Hi: xs[0], Confidence: confidence}
-		}
-		return nanInterval(confidence)
+	if len(xs) < 2 || resamples <= 0 {
+		return undrawable(xs, confidence)
 	}
+	if constant(xs) {
+		m := mean(xs)
+		return Interval{Lo: m, Hi: m, Confidence: confidence}
+	}
+	means := bootstrapMeans(xs, resamples, seed)
 	alpha := (1 - confidence) / 2
 	lo, hi := selectRanks(means, nearestRank(len(means), alpha), nearestRank(len(means), 1-alpha))
 	return Interval{Lo: lo, Hi: hi, Confidence: confidence}
@@ -74,19 +76,21 @@ func BootstrapCI(xs []float64, confidence float64, resamples int, seed int64) In
 // the acceleration a (from the jackknife skewness of the mean). For
 // symmetric samples it agrees with BootstrapCI; for the skewed ratio
 // distributions hypothesis effects follow it keeps the nominal coverage.
-// The resamples are drawn as BootstrapCI draws them.
+// The resamples are drawn as BootstrapCI draws them, and the same samples
+// yield NaN and degenerate intervals, except that a sample whose mean is
+// NaN yields a NaN interval.
 func BootstrapCIBCa(xs []float64, confidence float64, resamples int, seed int64) Interval {
-	means := bootstrapMeans(xs, resamples, seed)
-	if means == nil {
-		if len(xs) == 1 {
-			return Interval{Lo: xs[0], Hi: xs[0], Confidence: confidence}
-		}
-		return nanInterval(confidence)
+	if len(xs) < 2 || resamples <= 0 {
+		return undrawable(xs, confidence)
 	}
 	theta := mean(xs)
 	if math.IsNaN(theta) {
 		return nanInterval(confidence)
 	}
+	if constant(xs) {
+		return Interval{Lo: theta, Hi: theta, Confidence: confidence}
+	}
+	means := bootstrapMeans(xs, resamples, seed)
 
 	// Bias correction: the normal quantile of the proportion of bootstrap
 	// means strictly below the observed mean, clamped away from 0 and 1 so
@@ -111,6 +115,32 @@ func BootstrapCIBCa(xs []float64, confidence float64, resamples int, seed int64)
 	}
 	lo, hi := selectRanks(means, nearestRank(b, adj(NormalQuantile(alpha))), nearestRank(b, adj(NormalQuantile(1-alpha))))
 	return Interval{Lo: lo, Hi: hi, Confidence: confidence}
+}
+
+// undrawable is the interval of a sample or configuration that supports no
+// bootstrap distribution: [x, x] for a single observation, NaN for an
+// empty sample or no resamples.
+func undrawable(xs []float64, confidence float64) Interval {
+	if len(xs) == 1 {
+		return Interval{Lo: xs[0], Hi: xs[0], Confidence: confidence}
+	}
+	return nanInterval(confidence)
+}
+
+// constant reports whether every value of xs has the same bits. Every
+// resample of such a sample then adds the same n values in the same order
+// from the same zero, so every bootstrap mean is bit for bit mean(xs), and
+// so is every quantile of them: the interval needs no draws. The test is
+// on bits, not ==, so values that compare equal with different bits (+0
+// and −0) take the drawn path, which needs no argument about their sums.
+func constant(xs []float64) bool {
+	first := math.Float64bits(xs[0])
+	for _, x := range xs[1:] {
+		if math.Float64bits(x) != first {
+			return false
+		}
+	}
+	return true
 }
 
 // TightOpts configures RunUntilTight.
@@ -177,30 +207,20 @@ func RunUntilTight(opts TightOpts, sample func(i int) (float64, error)) ([]float
 	return values, ci, nil
 }
 
-// bootstrapMeans draws the bootstrap distribution of the mean, or nil when
-// the sample or configuration cannot support one (empty or singleton
-// sample, no resamples). Resample b's indices are draws b·n .. b·n+n−1 of
-// rand.New(rand.NewSource(seed)).Intn(n), summed in draw order.
+// bootstrapMeans draws the bootstrap distribution of the mean of xs, at
+// least two values long, for resamples > 0. Resample b's indices are draws
+// b·n .. b·n+n−1 of rand.New(rand.NewSource(seed)).Intn(n), and its sum
+// adds the drawn values in draw order, as the textbook loop does. The
+// callers answer constant samples without calling it: there every draw
+// would land on the same bits.
 func bootstrapMeans(xs []float64, resamples int, seed int64) []float64 {
 	n := len(xs)
-	if n < 2 || resamples <= 0 {
-		return nil
-	}
 	draw := newIntn(n)
 	var s stream
 	s.seed(seed)
-	var idx [256]int32 // one chunk of a resample's draws, on the stack
 	means := make([]float64, resamples)
 	for b := range means {
-		var sum float64
-		for k := 0; k < n; k += len(idx) {
-			chunk := idx[:min(len(idx), n-k)]
-			draw.fill(chunk, &s)
-			for _, i := range chunk {
-				sum += xs[i]
-			}
-		}
-		means[b] = sum / float64(n)
+		means[b] = draw.sum(&s, n, xs, nil) / float64(n)
 	}
 	return means
 }
@@ -282,26 +302,39 @@ func newIntn(n int) intn {
 	}
 }
 
-// fill sets idx to the next len(idx) draws rand.Intn(n) would return at
-// s's position, and advances s past every output they consumed.
-func (d intn) fill(idx []int32, s *stream) {
-	x, pos := &s.x, s.pos
-	for k := range idx {
-		for {
-			if pos == rngLen {
-				s.refill()
-				pos = 0
+// sum draws the next need values rand.Intn(n) would return at s's
+// position, advances s past every output they consumed, and returns the
+// sum of xs at the drawn indices, added in draw order from zero. With a
+// non-nil idx it stores draw j in idx[j] instead and returns 0, so the
+// draw-level tests record indices through this same loop; idx is fixed
+// for the call, so that branch always goes one way. Each output yields at
+// most one draw, so the inner loop runs to the end of the block or of the
+// draws still needed, whichever comes first, and the refill check happens
+// once per run; a rejected output (a fraction (2³¹ mod n)/2³¹ of them,
+// below n/2³¹) leaves one more draw for the next run.
+func (d intn) sum(s *stream, need int, xs []float64, idx []int32) float64 {
+	var sum float64
+	for j := 0; j < need; {
+		if s.pos == rngLen {
+			s.refill()
+		}
+		run := s.x[s.pos : s.pos+min(rngLen-s.pos, need-j)]
+		s.pos += len(run)
+		for _, u := range run {
+			v := int31(u)
+			if v > d.max {
+				continue
 			}
-			v := int31(x[pos])
-			pos++
-			if v <= d.max {
-				hi, _ := bits.Mul64(d.m*uint64(v), d.n)
-				idx[k] = int32(hi)
-				break
+			i, _ := bits.Mul64(d.m*uint64(v), d.n)
+			if idx != nil {
+				idx[j] = int32(i)
+			} else {
+				sum += xs[i]
 			}
+			j++
 		}
 	}
-	s.pos = pos
+	return sum
 }
 
 // int31 is (*Rand).Int31 of one output: the top 31 bits of its Int63.

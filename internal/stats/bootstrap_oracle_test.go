@@ -1,11 +1,12 @@
 package stats
 
 // The bootstrap's exactness oracle. BootstrapCI and BootstrapCIBCa
-// continue math/rand's stream locally and select their two order
+// continue math/rand's stream locally, sum each resample as they draw it,
+// answer constant samples without drawing, and select their two order
 // statistics instead of sorting; the reference below is the textbook form
 // they must reproduce bit for bit: rand.Intn draws from the seeded
-// generator, sort.Float64s over the resample means, nearest-rank
-// quantiles of the sorted slice.
+// generator for every sample, sort.Float64s over the resample means,
+// nearest-rank quantiles of the sorted slice.
 
 import (
 	"math"
@@ -126,7 +127,9 @@ func checkOracle(t *testing.T, sample string, xs []float64, confidence float64, 
 }
 
 // oracleSamples are samples of each length the oracle runs: smooth values,
-// heavy ties, and ones carrying ±Inf or NaN.
+// heavy ties, ones carrying ±Inf or NaN, constant samples (every value
+// the same bits, the shortcut's domain: 0.1 sums inexactly, −0 sums to +0
+// from a zero start), and near-constant ones that must still be drawn.
 func oracleSamples(n int, rng *rand.Rand) map[string][]float64 {
 	smooth := make([]float64, n)
 	ties := make([]float64, n)
@@ -142,19 +145,39 @@ func oracleSamples(n int, rng *rand.Rand) map[string][]float64 {
 	withNaN[n/2] = math.NaN()
 	withAll := append([]float64(nil), withBothInf...)
 	withAll[n/2] = math.NaN()
+	fill := func(x float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = x
+		}
+		return xs
+	}
+	signedZeros := fill(0)
+	for i := 1; i < n; i += 2 {
+		signedZeros[i] = math.Copysign(0, -1)
+	}
+	oneUlp := fill(0.1)
+	oneUlp[n-1] = math.Nextafter(0.1, 1)
 	return map[string][]float64{
 		"smooth": smooth, "ties": ties, "+Inf": withInf, "±Inf": withBothInf,
 		"NaN": withNaN, "NaN and ±Inf": withAll,
+		"constant 0.1":       fill(0.1),
+		"constant −0":        fill(math.Copysign(0, -1)),
+		"constant +Inf":      fill(math.Inf(1)),
+		"constant −Inf":      fill(math.Inf(-1)),
+		"constant NaN":       fill(math.Float64frombits(0x7ff8_0000_0000_0abc)),
+		"+0 and −0":          signedZeros,
+		"0.1 and 1 ulp more": oneUlp,
 	}
 }
 
 // TestBootstrapMatchesReference runs the full cross product of seeds
-// (negative, zero, at and above 2³¹), resample counts and confidence
-// levels for samples up to 7 long. The 50- and 64-long samples take one
+// (negative, zero, at and above 2³¹), resample counts (none included) and
+// confidence levels for samples up to 7 long. The 50- and 64-long samples take one
 // seed of each kind, and the 1000-long ones, a million draws per call, one
 // seed, one level and two of the samples. A sample of 2³⁰+3 values would
 // need 8 GiB, so that draw range is checked at the index-draw level by
-// TestIntnMatchesMathRand.
+// TestIntnMatchesMathRand, through the same loop.
 func TestBootstrapMatchesReference(t *testing.T) {
 	allSeeds := []int64{math.MinInt64, -1 << 40, -3, 0, 1, 1<<31 - 1, 1 << 31, 1<<62 + 9, math.MaxInt64}
 	rng := rand.New(rand.NewSource(5))
@@ -170,7 +193,7 @@ func TestBootstrapMatchesReference(t *testing.T) {
 			if n == 1000 && name != "smooth" && name != "NaN and ±Inf" {
 				continue
 			}
-			for _, resamples := range []int{1, 2, 607, 608, 1000} {
+			for _, resamples := range []int{0, 1, 2, 607, 608, 1000} {
 				for _, confidence := range confidences {
 					for _, seed := range seeds {
 						checkOracle(t, name, xs, confidence, resamples, seed)
@@ -188,6 +211,11 @@ func FuzzBootstrapCI(f *testing.F) {
 	f.Add(int64(0), uint16(1000), 0.95, []byte{1, 2, 3, 4, 5})
 	f.Add(int64(-3), uint16(607), 0.9, []byte{7, 7, 7, 250, 7})
 	f.Add(int64(1<<31), uint16(608), 0.99, []byte{0, 255, 254, 3})
+	// Constant samples: an ordinary value, zeros, +Inf and NaN.
+	f.Add(int64(5), uint16(1000), 0.95, []byte{9, 9, 9, 9, 9, 9})
+	f.Add(int64(-8), uint16(2), 0.9, []byte{0, 0, 0})
+	f.Add(int64(1<<40), uint16(607), 0.95, []byte{253, 253})
+	f.Add(int64(0), uint16(1), 0.99, []byte{255, 255, 255, 255})
 	f.Fuzz(func(t *testing.T, seed int64, resamples uint16, confidence float64, raw []byte) {
 		if len(raw) > 64 || resamples > 2000 {
 			return

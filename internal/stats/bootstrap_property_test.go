@@ -194,14 +194,31 @@ func TestNormalQuantileRoundTrip(t *testing.T) {
 }
 
 // TestBootstrapCIAllocatesOnlyMeans guards the resampling hot path: the
-// draw stream and each resample's index chunk live on the stack and the
-// seeding generator is recycled, so the resample means are the one
-// allocation — at a sample longer than one index chunk too.
+// draw stream lives on the stack, each resample is summed as it is drawn
+// and the seeding generator is recycled, so the resample means are the
+// one allocation — at a sample nearly one stream block long too.
 func TestBootstrapCIAllocatesOnlyMeans(t *testing.T) {
 	for _, n := range []int{50, 600} {
 		xs := sampleNormal(rand.New(rand.NewSource(4)), n, 10, 1)
 		if avg := testing.AllocsPerRun(50, func() { BootstrapCI(xs, 0.95, 1000, 7) }); avg != 1 {
 			t.Fatalf("n=%d: BootstrapCI made %v allocations per call, want 1 (the resample means)", n, avg)
+		}
+	}
+}
+
+// TestConstantSampleAllocatesNothing: a sample whose values all have the
+// same bits is answered without drawing, so neither interval kind
+// allocates its means.
+func TestConstantSampleAllocatesNothing(t *testing.T) {
+	xs := make([]float64, 50)
+	for i := range xs {
+		xs[i] = 12.375
+	}
+	for name, ci := range map[string]func([]float64, float64, int, int64) Interval{
+		"BootstrapCI": BootstrapCI, "BootstrapCIBCa": BootstrapCIBCa,
+	} {
+		if avg := testing.AllocsPerRun(50, func() { ci(xs, 0.95, 1000, 7) }); avg != 0 {
+			t.Fatalf("%s made %v allocations per call on a constant sample, want 0", name, avg)
 		}
 	}
 }

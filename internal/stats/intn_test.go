@@ -11,9 +11,10 @@ import (
 )
 
 // checkIntn compares draws of intn on a stream against rand.Intn on a
-// generator seeded alike, and fails at the first divergence. It fills in
-// batches of 97, so the stream must also carry over from one fill call to
-// the next, as it does between bootstrap chunks. Afterwards the two must
+// generator seeded alike, and fails at the first divergence. It records
+// the draws through intn.sum, the loop the bootstrap sums through, in
+// batches of 97, so the stream must also carry over from one call to the
+// next, as it does between resamples. Afterwards the two must
 // agree on the next raw output too: rejection loops consumed the same
 // number of outputs, and the stream's in-place refills continued
 // math/rand's sequence.
@@ -26,7 +27,7 @@ func checkIntn(t *testing.T, seed int64, n, draws int) {
 	buf := make([]int32, 97)
 	for k := 0; k < draws; {
 		batch := buf[:min(len(buf), draws-k)]
-		d.fill(batch, &got)
+		d.sum(&got, len(batch), nil, batch)
 		for _, g := range batch {
 			if w := want.Intn(n); w != int(g) {
 				t.Fatalf("seed %d, n %d, draw %d: intn = %d, rand.Intn = %d", seed, n, k, g, w)

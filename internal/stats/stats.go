@@ -1,6 +1,12 @@
 // Package stats provides the summary statistics the paper reports: means,
 // 95% confidence intervals (Student's t), and overhead ratios relative to
-// the bare-metal baseline.
+// the bare-metal baseline. It also provides the bootstrap intervals that
+// pinsweep cells and the hypothesis harness report (bootstrap.go). Those
+// are bit-identical to the textbook loop of rand.Intn draws and a sort
+// of the resample means, but do only the work that can change the
+// answer: a sample whose values all have the same bits is answered
+// without drawing, and otherwise each draw is added into its resample's
+// sum as it is taken from a local continuation of math/rand's stream.
 package stats
 
 import (
