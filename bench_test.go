@@ -19,9 +19,11 @@ import (
 
 func BenchmarkEngineEvents(b *testing.B) {
 	eng := sim.NewEngine()
+	var tm sim.Timer
+	tm.InitArg(eng, func(any) {}, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.After(sim.Microsecond, func() {})
+		tm.Reset(sim.Microsecond)
 		eng.Step()
 	}
 }

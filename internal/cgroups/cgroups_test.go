@@ -13,6 +13,13 @@ func controller() (*sim.Engine, *Controller) {
 	return eng, NewController(eng, topology.PaperHost(), DefaultParams())
 }
 
+// at runs fn at t on eng through a Timer of its own.
+func at(eng *sim.Engine, t sim.Time, fn func()) {
+	tm := new(sim.Timer)
+	tm.InitArg(eng, func(any) { fn() }, nil)
+	tm.ResetAt(t)
+}
+
 func TestGroupDefaults(t *testing.T) {
 	_, c := controller()
 	g := c.NewGroup("g", 0, topology.CPUSet{})
@@ -128,8 +135,8 @@ func TestChurnSaturationScalesShortThrottles(t *testing.T) {
 	g.SetUnthrottleFn(func(churn sim.Time) { got = churn })
 	// Open the period at t=0 (the timer starts lazily at the first charge),
 	// then throttle 99ms into it: throttled for ~1ms ≪ saturation.
-	eng.At(0, func() { g.Charge(0, sim.Millisecond) })
-	eng.At(99*sim.Millisecond, func() { g.Charge(0, 150*sim.Millisecond) })
+	at(eng, 0, func() { g.Charge(0, sim.Millisecond) })
+	at(eng, 99*sim.Millisecond, func() { g.Charge(0, 150*sim.Millisecond) })
 	eng.Run(0)
 	full := c.P.UnthrottleThreadCost
 	if got >= full/2 {

@@ -180,25 +180,6 @@ func Advise(p Profile, host *topology.Topology) Recommendation {
 	return r
 }
 
-// OverheadKind is the paper's §IV decomposition.
-type OverheadKind int
-
-const (
-	// PTO: platform-type overhead — size-invariant, from virtualization
-	// layers; pinning cannot remove it.
-	PTO OverheadKind = iota
-	// PSO: platform-size overhead — shrinks as CHR grows; pinning and
-	// bigger containers remove it.
-	PSO
-)
-
-func (k OverheadKind) String() string {
-	if k == PTO {
-		return "PTO"
-	}
-	return "PSO"
-}
-
 // Split decomposes a series of overhead ratios (ordered small → large
 // instance) into the size-invariant PTO (the large-instance plateau) and the
 // per-size PSO remainder, following §IV's definition.
@@ -216,19 +197,4 @@ func Split(ratios []float64) (pto float64, pso []float64) {
 		pso[i] = d
 	}
 	return pto, pso
-}
-
-// DominantOverhead labels which overhead kind dominates a ratio series: if
-// the small-instance excess over the plateau exceeds the plateau's own
-// excess over 1.0, the platform suffers mostly PSO (fixable by pinning and
-// sizing); otherwise PTO (fixable only by changing platforms).
-func DominantOverhead(ratios []float64) OverheadKind {
-	pto, pso := Split(ratios)
-	if len(pso) == 0 {
-		return PTO
-	}
-	if pso[0] > pto-1 {
-		return PSO
-	}
-	return PTO
 }

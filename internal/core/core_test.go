@@ -127,17 +127,8 @@ func TestSplitPTOPSO(t *testing.T) {
 	if math.Abs(pso[0]-1.05) > 1e-9 {
 		t.Fatalf("PSO[0] = %v", pso[0])
 	}
-	if DominantOverhead([]float64{2.1, 1.5, 1.2, 1.05}) != PSO {
-		t.Fatal("shrinking overhead is PSO")
-	}
-	if DominantOverhead([]float64{2.0, 2.0, 2.0}) != PTO {
-		t.Fatal("flat overhead is PTO")
-	}
 	if pto, pso := Split(nil); pto != 0 || pso != nil {
 		t.Fatal("empty split")
-	}
-	if PTO.String() != "PTO" || PSO.String() != "PSO" {
-		t.Fatal("kind names")
 	}
 	// Negative PSO clamps to zero.
 	_, pso = Split([]float64{1.0, 1.5})

@@ -8,6 +8,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -46,8 +47,8 @@ type CHRBand struct {
 
 // RunCHRSweep reproduces the §IV-A analysis: sweep instance sizes, find the
 // first size where the vanilla container's overhead ratio over bare metal
-// (its PSO) drops below the per-class significance threshold, and report
-// the bracketing CHR band.
+// drops below the per-class significance threshold, and report the
+// bracketing CHR band.
 func RunCHRSweep(cfg Config) ([]CHRBand, error) {
 	cfg = cfg.withDefaults()
 	reps := cfg.reps(5)
@@ -85,7 +86,7 @@ func RunCHRSweep(cfg Config) ([]CHRBand, error) {
 		found := false
 		for ii, it := range instances {
 			// The outer size sweep is sequential by nature (it stops at the
-			// first size whose PSO is insignificant), but each step's
+			// first size whose CN/BM ratio is insignificant), but each step's
 			// kinds × reps block is an independent grid and fans out.
 			kinds := []platform.Kind{platform.CN, platform.BM}
 			results := make([]TrialResult, len(kinds)*reps)
@@ -113,8 +114,8 @@ func RunCHRSweep(cfg Config) ([]CHRBand, error) {
 				}
 				means[kind] = stats.Summarize(vals).Mean
 			}
-			pso := means[platform.CN] / means[platform.BM]
-			if pso < a.threshold {
+			cnOverBM := means[platform.CN] / means[platform.BM]
+			if cnOverBM < a.threshold {
 				band.LowCHR = float64(prev.Cores) / hostCPUs
 				band.HighCHR = float64(it.Cores) / hostCPUs
 				band.LowName = prev.Name
@@ -152,15 +153,12 @@ func Decompose(fig Figure) []Decomposition {
 		if si == fig.BaselineIdx || len(s.Cells) == 0 {
 			continue
 		}
-		d := Decomposition{Label: s.Label, PTO: s.Cells[len(s.Cells)-1].Ratio}
-		for _, c := range s.Cells {
-			pso := c.Ratio - d.PTO
-			if pso < 0 {
-				pso = 0
-			}
-			d.PSO = append(d.PSO, pso)
+		ratios := make([]float64, len(s.Cells))
+		for i, c := range s.Cells {
+			ratios[i] = c.Ratio
 		}
-		out = append(out, d)
+		pto, pso := core.Split(ratios)
+		out = append(out, Decomposition{Label: s.Label, PTO: pto, PSO: pso})
 	}
 	return out
 }

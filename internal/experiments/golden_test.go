@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"os"
 	"testing"
@@ -123,6 +124,57 @@ func TestFigAllQuickStoreInvariant(t *testing.T) {
 	if misses := warm.Stats().Misses; misses != 0 {
 		t.Fatalf("warm store run simulated %d trials, want 0", misses)
 	}
+}
+
+// matchGolden fails t unless got is byte-identical to testdata/name.
+func matchGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden, err := os.ReadFile("testdata/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, golden) {
+		t.Fatalf("output diverged from testdata/%s\n got sha256 %s\nwant sha256 %s\nfirst divergence at byte %d",
+			name, shortHash(got), shortHash(golden), firstDiff(got, golden))
+	}
+}
+
+// TestSweepQuickMatchesGolden locks the byte-exact text, CSV and JSON
+// output of `pinsweep -quick -reps 2 -cores 2,16 -workloads ffmpeg,mpi
+// -mem 0,32` (default seed 42 and series), JSON encoded as pinsweep does.
+// Regenerate with that command and `-format text|csv|json` into
+// testdata/sweep_quick_{text,csv,json}.golden, and say so in the change.
+func TestSweepQuickMatchesGolden(t *testing.T) {
+	res, err := Sweep(Config{Seed: 42, Quick: true, Reps: 2, Executor: Pool{Workers: 2}}, SweepSpec{
+		Cores: []int{2, 16}, Workloads: []string{"ffmpeg", "mpi"}, MemGB: []int{0, 32}, Reps: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text, csv, js bytes.Buffer
+	res.RenderText(&text)
+	res.RenderCSV(&csv)
+	enc := json.NewEncoder(&js)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(res); err != nil {
+		t.Fatal(err)
+	}
+	matchGolden(t, "sweep_quick_text.golden", text.Bytes())
+	matchGolden(t, "sweep_quick_csv.golden", csv.Bytes())
+	matchGolden(t, "sweep_quick_json.golden", js.Bytes())
+}
+
+// TestCHRQuickMatchesGolden locks the byte-exact output of
+// `pinsim -chr -quick` (default seed 42); regenerate it with that command
+// into testdata/chr_quick.golden, and say so in the change.
+func TestCHRQuickMatchesGolden(t *testing.T) {
+	bands, err := RunCHRSweep(Config{Seed: 42, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	RenderCHR(&buf, bands)
+	matchGolden(t, "chr_quick.golden", buf.Bytes())
 }
 
 func shortHash(b []byte) string {

@@ -191,10 +191,12 @@ func Sweep(cfg Config, spec SweepSpec) (*SweepResult, error) {
 }
 
 // cellPlan is one grid point of a sweep: its cell, to be aggregated, and
-// the workload its trials run.
+// the stack and workload list its trials run, resolved once and shared
+// read-only by every repetition.
 type cellPlan struct {
-	cell SweepCell
-	w    workload.Workload
+	cell  SweepCell
+	stack platform.Stack
+	ws    []workload.Workload
 }
 
 // planSweep resolves a defaulted spec into its grid, platforms outermost.
@@ -230,7 +232,8 @@ func planSweep(cfg Config, spec SweepSpec) ([]cellPlan, error) {
 							MemGB:    memGB,
 							CHR:      float64(cores) / float64(hostCPUs),
 						},
-						w: w,
+						stack: sp.Stack(),
+						ws:    []workload.Workload{w},
 					})
 				}
 			}
@@ -247,8 +250,8 @@ func (pc *cellPlan) input(cfg Config, rep int) trialInput {
 		uint64(pc.cell.Spec.Kind), uint64(pc.cell.Spec.Mode),
 		uint64(pc.cell.Cores), uint64(pc.cell.MemGB),
 		workloadTag(pc.cell.Workload), uint64(rep))
-	return trialInput{host: cfg.Host, stack: pc.cell.Spec.Stack(),
-		size: pc.cell.Cores, ws: []workload.Workload{pc.w}, memGB: pc.cell.MemGB, seed: seed}
+	return trialInput{host: cfg.Host, stack: pc.stack,
+		size: pc.cell.Cores, ws: pc.ws, memGB: pc.cell.MemGB, seed: seed}
 }
 
 // aggregate fills the cell's Summary, BootCI and Breakdown from its

@@ -175,19 +175,9 @@ func GuestTopology(spec VMSpec) (*topology.Topology, error) {
 	return t, nil
 }
 
-// NewGuest builds the guest machine for spec on the given host. The guest
-// inherits the host's calibration (scheduler/cache/cgroup/IRQ params and
-// channels) with the virtualization overlay applied.
-func NewGuest(host machine.Config, spec VMSpec, p Params, seed uint64) (*machine.Machine, error) {
-	cfg, err := GuestConfig(host, spec, p, seed)
-	if err != nil {
-		return nil, err
-	}
-	return machine.New(cfg)
-}
-
-// GuestConfig derives the guest machine configuration for spec without
-// building the machine. It is the composable form of NewGuest: because the
+// GuestConfig derives the guest machine configuration for spec on the
+// given host: the host's calibration (scheduler/cache/cgroup/IRQ params
+// and channels) with the virtualization overlay applied. Because the
 // result is itself a machine.Config, it can serve as the "host" of a further
 // GuestConfig call, which is how platform stacks express nested
 // virtualization (a VM inside a VM). Multiplicative and additive costs

@@ -26,11 +26,22 @@ func TestGuestTopologyFlat(t *testing.T) {
 	}
 }
 
-func TestGuestInheritsHostNUMA(t *testing.T) {
-	g, err := NewGuest(hostCfg(), VMSpec{Name: "v", VCPUs: 4}, DefaultParams(), 1)
+// guest builds spec's guest machine on the paper host.
+func guest(t *testing.T, spec VMSpec, p Params) *machine.Machine {
+	t.Helper()
+	cfg, err := GuestConfig(hostCfg(), spec, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, err := machine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func TestGuestInheritsHostNUMA(t *testing.T) {
+	g := guest(t, VMSpec{Name: "v", VCPUs: 4}, DefaultParams())
 	if g.Cfg.NUMASockets != 4 {
 		t.Fatalf("guest NUMA sockets %d, want the host's 4", g.Cfg.NUMASockets)
 	}
@@ -41,14 +52,8 @@ func TestGuestInheritsHostNUMA(t *testing.T) {
 
 func TestPinnedVsVanillaOverlay(t *testing.T) {
 	p := DefaultParams()
-	pinned, err := NewGuest(hostCfg(), VMSpec{Name: "p", VCPUs: 4, Pinned: true}, p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vanilla, err := NewGuest(hostCfg(), VMSpec{Name: "v", VCPUs: 4}, p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pinned := guest(t, VMSpec{Name: "p", VCPUs: 4, Pinned: true}, p)
+	vanilla := guest(t, VMSpec{Name: "v", VCPUs: 4}, p)
 	if pinned.Cfg.VirtioMissProb != 0 || pinned.Cfg.WanderStallRate != 0 {
 		t.Fatal("pinned VM must not wander")
 	}
@@ -62,8 +67,8 @@ func TestPinnedVsVanillaOverlay(t *testing.T) {
 
 func TestContainerizedGuestOverlay(t *testing.T) {
 	p := DefaultParams()
-	plain, _ := NewGuest(hostCfg(), VMSpec{Name: "vm", VCPUs: 2}, p, 1)
-	vmcn, _ := NewGuest(hostCfg(), VMSpec{Name: "vmcn", VCPUs: 2, Containerized: true}, p, 1)
+	plain := guest(t, VMSpec{Name: "vm", VCPUs: 2}, p)
+	vmcn := guest(t, VMSpec{Name: "vmcn", VCPUs: 2, Containerized: true}, p)
 	if plain.Cfg.NestedSwitchCost != 0 {
 		t.Fatal("plain VM must not pay nested accounting")
 	}
@@ -76,10 +81,7 @@ func TestContainerizedGuestOverlay(t *testing.T) {
 }
 
 func TestGuestRunsWorkload(t *testing.T) {
-	g, err := NewGuest(hostCfg(), VMSpec{Name: "w", VCPUs: 2, Pinned: true}, DefaultParams(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := guest(t, VMSpec{Name: "w", VCPUs: 2, Pinned: true}, DefaultParams())
 	g.Spawn(sched.TaskSpec{Name: "guest-task", VMTaxWeight: 1,
 		Program: sched.Sequence(sched.Compute(50 * sim.Millisecond))}, 0)
 	res := g.Run(0)

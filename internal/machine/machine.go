@@ -240,7 +240,7 @@ func New(cfg Config) (*Machine, error) {
 }
 
 // Reset returns the machine to the state New(cfg) would construct while
-// keeping every arena the previous run grew: the event engine's one-shot pool,
+// keeping every arena the previous run grew: the event engine's heap array,
 // the scheduler's cpuRun/runqueue/task backings, the cgroup and IRQ
 // controller structures. It is the per-trial reuse path — repetitions of
 // one deployment shape differ only by cfg.Seed, so resetting and

@@ -90,19 +90,23 @@ type options struct {
 	warner     *Warner
 	fs         FS
 	syncEvery  int
-	maxRetries int
-	backoff    time.Duration
 	sleep      func(time.Duration)
 	degradedOK bool
 }
 
+// The transient-error retry policy: up to maxRetries re-attempts per
+// operation, sleeping retryBackoff<<attempt plus deterministic jitter
+// between them.
+const (
+	maxRetries   = 4
+	retryBackoff = time.Millisecond
+)
+
 func defaultOptions() options {
 	return options{
-		warn:       os.Stderr,
-		fs:         OS(),
-		maxRetries: 4,
-		backoff:    time.Millisecond,
-		sleep:      time.Sleep,
+		warn:  os.Stderr,
+		fs:    OS(),
+		sleep: time.Sleep,
 	}
 }
 
@@ -140,20 +144,6 @@ func WithSyncEvery(n int) Option {
 	return func(o *options) { o.syncEvery = n }
 }
 
-// WithRetryPolicy bounds the transient-error retry loop: up to maxRetries
-// re-attempts per operation, sleeping base<<attempt plus deterministic
-// jitter between them.
-func WithRetryPolicy(maxRetries int, base time.Duration) Option {
-	return func(o *options) {
-		if maxRetries >= 0 {
-			o.maxRetries = maxRetries
-		}
-		if base > 0 {
-			o.backoff = base
-		}
-	}
-}
-
 // WithSleep substitutes the backoff sleeper (test seam: chaos tests retry
 // thousands of times and must not wait real milliseconds).
 func WithSleep(sleep func(time.Duration)) Option {
@@ -179,10 +169,8 @@ type Disk[V any] struct {
 	warner *Warner
 	fs     FS
 
-	syncEvery  int
-	maxRetries int
-	backoff    time.Duration
-	sleep      func(time.Duration)
+	syncEvery int
+	sleep     func(time.Duration)
 
 	mu        sync.Mutex
 	seg       File // this process's segment; created lazily on first Put
@@ -216,8 +204,7 @@ func Open[V any](dir string, codec Codec[V], opts ...Option) (*Disk[V], error) {
 	d := &Disk[V]{
 		dir: dir, codec: codec, memo: cache.NewMemo[V](),
 		warner: o.warnerOrDefault(), fs: o.fs,
-		syncEvery: o.syncEvery, maxRetries: o.maxRetries,
-		backoff: o.backoff, sleep: o.sleep,
+		syncEvery: o.syncEvery, sleep: o.sleep,
 		nextSeg: 1,
 		// Deterministic jitter: the stream is a pure function of the
 		// directory name, so fault schedules replay exactly.
@@ -296,7 +283,7 @@ func (d *Disk[V]) retryDo(op func() error) error {
 			}
 			return nil
 		}
-		if attempt >= d.maxRetries || !transientErr(err) {
+		if attempt >= maxRetries || !transientErr(err) {
 			return err
 		}
 		d.retries++
@@ -304,12 +291,13 @@ func (d *Disk[V]) retryDo(op func() error) error {
 	}
 }
 
-// backoffFor returns base<<attempt plus up to 50% deterministic jitter.
+// backoffFor returns retryBackoff<<attempt plus up to 50% deterministic
+// jitter.
 func (d *Disk[V]) backoffFor(attempt int) time.Duration {
 	if attempt > 10 {
 		attempt = 10
 	}
-	step := d.backoff << uint(attempt)
+	step := retryBackoff << uint(attempt)
 	// xorshift64: cheap, seeded from the directory name at Open.
 	d.rng ^= d.rng << 13
 	d.rng ^= d.rng >> 7
@@ -437,7 +425,7 @@ func (d *Disk[V]) createSegment() error {
 				// transient write: a fresh number on the next attempt.
 				f.Close()
 				d.fs.Remove(path)
-				if !transientErr(werr) || attempt >= d.maxRetries {
+				if !transientErr(werr) || attempt >= maxRetries {
 					return werr
 				}
 				attempt++
@@ -466,7 +454,7 @@ func (d *Disk[V]) createSegment() error {
 			}
 			continue
 		}
-		if !transientErr(err) || attempt >= d.maxRetries {
+		if !transientErr(err) || attempt >= maxRetries {
 			return err
 		}
 		attempt++
@@ -548,7 +536,7 @@ func (d *Disk[V]) writeLocked(buf []byte, n int) error {
 		// This segment may now carry a torn tail; rotate before any retry.
 		d.seg.Close()
 		d.seg = nil
-		if !transientErr(err) || attempt >= d.maxRetries {
+		if !transientErr(err) || attempt >= maxRetries {
 			return err
 		}
 		d.retries++

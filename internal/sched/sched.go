@@ -165,8 +165,6 @@ type Scheduler struct {
 	procArena []procCount
 	procBack  []procCount
 	procUsed  int
-	// batchArgs is the reusable arrival-argument scratch of SpawnBatch.
-	batchArgs []any
 	// specScratch is the reusable TaskSpec build buffer handed out by
 	// SpecScratch for callers assembling a SpawnBatch argument.
 	specScratch []TaskSpec
@@ -400,15 +398,10 @@ func (s *Scheduler) Tasks() []*Task { return s.tasks }
 // Spawn creates a task and schedules its arrival at time `at`.
 func (s *Scheduler) Spawn(spec TaskSpec, at sim.Time) *Task {
 	t := s.spawnTask(spec)
-	s.eng.AtArg(at, taskArrived, t)
+	t.wakeTimer.ResetAt(at)
 	return t
 }
 
-// SpawnBatch creates one task per spec, all arriving at time `at`, in spec
-// order. It is equivalent to calling Spawn for each spec in order, but the
-// arrival events are applied to the event queue as one batch and share the
-// static arrival callback, so a spawn storm (a 16-thread process per trial,
-// thousands of trials per sweep) costs no per-task closures or heap churn.
 // SpecScratch returns a zero-length TaskSpec buffer with capacity for at
 // least n specs, reused across calls. It exists for workload Spawn paths
 // that assemble a batch every trial: SpawnBatch copies each spec into the
@@ -422,9 +415,12 @@ func (s *Scheduler) SpecScratch(n int) []TaskSpec {
 	return s.specScratch[:0]
 }
 
+// SpawnBatch creates one task per spec, all arriving at time `at`, in spec
+// order. It is equivalent to calling Spawn for each spec in order, but it
+// reserves the task table and arena for the whole batch up front, so a
+// spawn storm (a 16-thread process per trial, thousands of trials per
+// sweep) costs no append doubling or arena block bumps mid-batch.
 func (s *Scheduler) SpawnBatch(specs []TaskSpec, at sim.Time) []*Task {
-	// Reserve task-table and arena capacity for the whole batch up front,
-	// replacing append doubling and arena block bumps mid-batch.
 	if need := len(s.tasks) + len(specs); cap(s.tasks) < need {
 		nt := make([]*Task, len(s.tasks), need)
 		copy(nt, s.tasks)
@@ -434,38 +430,31 @@ func (s *Scheduler) SpawnBatch(specs []TaskSpec, at sim.Time) []*Task {
 		s.taskArena = make([]Task, len(specs))
 	}
 	// The returned view aliases the task table (tasks are appended one per
-	// spec) and the arrival args reuse a per-scheduler scratch: a batch in
-	// steady state allocates nothing here.
+	// spec): a batch in steady state allocates nothing here.
 	start := len(s.tasks)
-	if cap(s.batchArgs) < len(specs) {
-		s.batchArgs = make([]any, len(specs))
-	}
-	args := s.batchArgs[:len(specs)]
 	for i := range specs {
-		args[i] = s.spawnTask(specs[i])
+		s.Spawn(specs[i], at)
 	}
-	s.eng.AtBatch(at, taskArrived, args...)
 	return s.tasks[start:len(s.tasks):len(s.tasks)]
 }
 
-// taskArrived is the static arrival callback, scheduled through AtArg /
-// AtBatch with the *Task as argument (no per-spawn closure).
-func taskArrived(a any) {
-	t := a.(*Task)
+// taskArrived runs a task's arrival: the first firing of its wake timer.
+func taskArrived(t *Task) {
 	s := t.sched
 	t.SpawnedAt = s.eng.Now()
 	s.emit(TraceSpawn, t, -1, BlockNone)
 	s.startProgram(t, -1)
 }
 
-// spawnTask runs the spawn-time bookkeeping shared by Spawn and SpawnBatch;
-// the caller schedules the arrival event.
+// spawnTask runs the spawn-time bookkeeping shared by Spawn and SpawnBatch
+// and binds the task's wake timer; the caller arms it for the arrival.
 func (s *Scheduler) spawnTask(spec TaskSpec) *Task {
 	if spec.Program == nil {
 		panic("sched: task without program")
 	}
 	t := s.newTask()
 	*t = Task{ID: len(s.tasks), Spec: spec, sched: s, lastCPU: -1, rqCPU: -1, rqPos: -1, state: stateNew, pendingMsgFromCPU: -1, computeScale: 1}
+	t.wakeTimer.InitArg(s.eng, taskWakeFired, t)
 	if s.cfg.ComputeScale != nil {
 		t.computeScale = s.cfg.ComputeScale(t)
 	}
@@ -671,7 +660,7 @@ func (s *Scheduler) startProgram(t *Task, homeCPU int) {
 			lat := s.cfg.RNG.Jitter(sim.Time(float64(a.Latency)*s.cfg.IOScale), s.cfg.Params.WakeJitter)
 			delay := s.cfg.IRQ.CompletionDelay(ch, s.eng.Now(), lat, s.cfg.IOScale)
 			t.wakeCh = ch
-			s.armWake(t, delay)
+			t.wakeTimer.Reset(delay)
 			return
 		case ActSend:
 			if a.To == nil {
@@ -711,7 +700,7 @@ func (s *Scheduler) startProgram(t *Task, homeCPU int) {
 			t.state = stateBlockedIO
 			s.emit(TraceBlock, t, -1, BlockSleep)
 			t.wakeCh = nil
-			s.armWake(t, a.Dur)
+			t.wakeTimer.Reset(a.Dur)
 			return
 		case ActDone:
 			s.finish(t)
@@ -735,22 +724,14 @@ func (s *Scheduler) finish(t *Task) {
 	s.emit(TraceFinish, t, -1, BlockNone)
 }
 
-// armWake schedules t's block-expiry wakeup (IO completion when t.wakeCh is
-// set, plain sleep wake otherwise) on the task's embedded timer: the static
-// callback is bound once per task, so steady-state IO pays neither a Timer
-// allocation nor a closure.
-func (s *Scheduler) armWake(t *Task, d sim.Time) {
-	if !t.wakeTimer.Bound() {
-		t.wakeTimer.InitArg(s.eng, taskWakeFired, t)
-	}
-	t.wakeTimer.Reset(d)
-}
-
-// taskWakeFired is the static wake-timer callback: IO completion when wakeCh
-// is set, plain sleep wake otherwise.
+// taskWakeFired is the static wake-timer callback: the task's arrival while
+// it is still new, then IO completion when wakeCh is set and plain sleep
+// wake otherwise.
 func taskWakeFired(a any) {
 	t := a.(*Task)
-	if ch := t.wakeCh; ch != nil {
+	if t.state == stateNew {
+		taskArrived(t)
+	} else if ch := t.wakeCh; ch != nil {
 		t.wakeCh = nil
 		t.sched.ioComplete(t, ch)
 	} else {

@@ -176,8 +176,8 @@ type Task struct {
 	qIdx      int32  // subqueue index of the task's cgroup (0 = ungrouped)
 	progIdx   int32  // program counter for shared stateless programs (ActionList)
 
-	// sched is the owning scheduler, set at spawn: the static timer/arrival
-	// callbacks (taskWakeFired, taskArrived) recover their context through
+	// sched is the owning scheduler, set at spawn: the static timer
+	// callback (taskWakeFired) recovers its context through
 	// it instead of capturing it in per-task closures.
 	sched *Scheduler
 
@@ -190,10 +190,10 @@ type Task struct {
 	// group, resolved once at spawn so the dispatch path skips the map.
 	procCtr *procCount
 
-	// wakeTimer fires block expiries (IO completion when wakeCh is set,
-	// sleep wake otherwise). Embedded and bound to a static callback on
-	// first block, so steady-state IO pays neither a Timer allocation nor a
-	// closure.
+	// wakeTimer fires the task's arrival while it is new, then its block
+	// expiries (IO completion when wakeCh is set, sleep wake otherwise).
+	// Embedded and bound to a static callback at spawn, so neither a spawn
+	// nor steady-state IO pays a Timer allocation or a closure.
 	wakeTimer sim.Timer
 	wakeCh    *irqsim.Channel
 

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -191,9 +192,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// writeBody sends a complete response body. Its Content-Length is set up
+// front: without it net/http chunks any body larger than its 2 KB write
+// buffer, and most figure bodies are larger.
 func writeBody(w http.ResponseWriter, source string, body []byte) {
-	w.Header().Set(SourceHeader, source)
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set(SourceHeader, source)
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.Write(body)
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -70,6 +71,41 @@ func TestRunColdThenWarm(t *testing.T) {
 	}
 	if s.warm.Load() != 1 || s.simulated.Load() != 1 {
 		t.Fatalf("warm=%d simulated=%d, want 1/1", s.warm.Load(), s.simulated.Load())
+	}
+}
+
+// TestWarmBodyHasContentLength: a warm body over net/http's 2 KB write
+// buffer goes out with its exact Content-Length, not chunked.
+func TestWarmBodyHasContentLength(t *testing.T) {
+	srv := httptest.NewServer(newTestServer(t, Options{}))
+	defer srv.Close()
+	run := func() (*http.Response, []byte) {
+		t.Helper()
+		resp, err := srv.Client().Post(srv.URL+"/run", "application/json", strings.NewReader(`{"name":"fig3"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		return resp, body
+	}
+	run()
+	resp, body := run()
+	if src := resp.Header.Get(SourceHeader); src != "warm" {
+		t.Fatalf("second request source = %q, want warm", src)
+	}
+	if len(body) <= 2048 {
+		t.Fatalf("fig3 body is %d bytes, want one over the 2 KB write buffer", len(body))
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("Content-Length %d, Transfer-Encoding %v for a %d-byte body, want %d and none",
+			resp.ContentLength, resp.TransferEncoding, len(body), len(body))
 	}
 }
 

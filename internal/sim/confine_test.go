@@ -53,7 +53,7 @@ func TestEngineRejectsReentrantRun(t *testing.T) {
 	// stand-in for two goroutines sharing one engine: both trip the same
 	// confinement guard.
 	e := NewEngine()
-	e.After(Millisecond, func() {
+	after(e, Millisecond, func() {
 		defer func() {
 			r := recover()
 			if r == nil {
@@ -71,11 +71,11 @@ func TestEngineRejectsReentrantRun(t *testing.T) {
 
 func TestEngineGuardReleasesAfterRun(t *testing.T) {
 	e := NewEngine()
-	e.After(Millisecond, func() {})
+	after(e, Millisecond, func() {})
 	e.Run(0)
 	// The guard must be released: subsequent runs on the owning goroutine
 	// are the normal mode of use.
-	e.After(Millisecond, func() {})
+	after(e, Millisecond, func() {})
 	if !e.Step() {
 		t.Fatal("Step after Run must still execute events")
 	}

@@ -1,6 +1,6 @@
 // Package sim provides a minimal deterministic discrete-event simulation
-// kernel: a virtual clock, a cancellable event queue, and a reproducible
-// random number generator. All higher-level models (scheduler, cgroups,
+// kernel: a virtual clock, a queue of Timers, and a reproducible random
+// number generator. All higher-level models (scheduler, cgroups,
 // hypervisor) are built on this package.
 //
 // # Concurrency model
@@ -12,24 +12,23 @@
 // would destroy, so sharing an Engine is never meaningful — parallelism
 // belongs one level up, where independent runs (each with its own Engine
 // and its own Substream-derived RNG seed) execute on separate goroutines.
-// The executor entry points (Step, Run, RunUntil) assert this confinement
-// and panic on concurrent entry; the scheduling calls (At, After, Cancel)
-// are intentionally unguarded because event callbacks invoke them
-// re-entrantly from inside Step — the race detector covers those.
+// The executor entry points (Step, Run, RunWhile, RunUntil, Reset) assert
+// this confinement and panic on concurrent entry; the Timer calls (Reset,
+// ResetAt, Stop) are intentionally unguarded because event callbacks
+// invoke them re-entrantly from inside Step — the race detector covers
+// those.
 //
 // # Allocation model
 //
-// The event queue is an intrusive 4-ary min-heap of Timers keyed by
-// (time, sequence): a Timer carries its own heap position, so arming,
-// re-arming and stopping one touches no side table and allocates nothing.
-// Recurring callbacks (slice timers, IO completions) bind a Timer once and
-// Reset it forever. One-shot events (At, After, AtArg, AtBatch) run on
-// engine-owned Timers drawn from a pool that grows in fixed-size blocks,
-// so pointers stay stable and a one-shot costs no heap object of its own
-// once the pool has warmed up; the only per-event allocation left is a
-// caller's closure. One-shot EventID handles carry a generation counter,
-// which makes Cancel on an already-fired or already-canceled event a safe
-// no-op.
+// The Timer is the only event kind. The event queue is an intrusive 4-ary
+// min-heap of Timers keyed by (time, sequence): a Timer carries its own
+// heap position, so arming, re-arming and stopping one touches no side
+// table and allocates nothing. Its owner embeds it and binds it once, with
+// InitArg, to a static callback and a pointer-shaped receiver, so no
+// closure is built either. Every event — a task's arrival, block expiry
+// and slice end, a cgroup's period refresh — is such a Timer re-armed in
+// place; the only allocation the engine makes is growing its heap array,
+// which Reset keeps for the next run.
 package sim
 
 import (
@@ -69,18 +68,6 @@ func (t Time) String() string {
 	return fmt.Sprintf("%dns", int64(t))
 }
 
-// EventID is a handle to a scheduled one-shot event. The zero EventID
-// refers to no event; Cancel of a zero, fired, or already-canceled handle is
-// a no-op. Handles encode a pool index plus a generation counter, so they
-// stay safe to hold after the event fires and its pooled Timer is reused.
-type EventID uint64
-
-// None is the zero EventID: a handle to no event.
-const None EventID = 0
-
-// poolBlock is how many one-shot Timers the engine allocates at a time.
-const poolBlock = 64
-
 // Engine is a discrete-event simulation executor. The zero value is not
 // usable; call NewEngine. An Engine is goroutine-confined (see the package
 // comment); its executor entry points panic when entered concurrently or
@@ -92,8 +79,6 @@ type Engine struct {
 	// hole is set while step runs a callback and order[0] still holds the
 	// fired Timer, whose place the callback's first arm takes (see step).
 	hole      bool
-	pool      []*[poolBlock]Timer // engine-owned one-shot Timers
-	free      []*Timer            // the idle ones
 	processed uint64
 	// running guards the executor entry points against re-entrant Step/Run
 	// from inside a callback and, best-effort, against concurrent use from
@@ -102,9 +87,8 @@ type Engine struct {
 	// data race by definition — the race detector reports it regardless,
 	// while the hot Step path stays free of atomic ops.
 	running bool
-	// freeSeed and orderSeed are the embedded first backings of free and
-	// order; a slice that outgrows its seed falls back to append growth.
-	freeSeed  [64]*Timer
+	// orderSeed is the embedded first backing of order; a heap that
+	// outgrows it falls back to append growth.
 	orderSeed [64]heapEntry
 }
 
@@ -131,21 +115,18 @@ func (e *Engine) leave() { e.running = false }
 
 // NewEngine returns an empty engine with the clock at zero.
 func NewEngine() *Engine {
-	// Carve the embedded seeds: machines are built per trial.
+	// Carve the embedded seed: machines are built per trial.
 	e := &Engine{}
-	e.free = e.freeSeed[0:0:len(e.freeSeed)]
 	e.order = e.orderSeed[0:0:len(e.orderSeed)]
 	return e
 }
 
 // Reset returns the engine to its just-constructed state — clock at zero,
 // no pending events, sequence and processed counters cleared — while
-// keeping the one-shot pool and heap array the previous run grew, so a
-// reused engine schedules without allocating. Every queued Timer is
-// un-queued (it reports not pending, as if it had fired) and every
-// one-shot returns to the pool, where its next use bumps its generation:
-// handles from before the Reset stay stale. Determinism is preserved
-// because ordering is strictly (time, sequence) and both restart from zero.
+// keeping the heap array the previous run grew, so a reused engine arms
+// Timers without allocating. Every queued Timer is un-queued: it reports
+// not pending, as if it had fired. Determinism is preserved because
+// ordering is strictly (time, sequence) and both restart from zero.
 func (e *Engine) Reset() {
 	e.enter("Reset")
 	defer e.leave()
@@ -155,11 +136,6 @@ func (e *Engine) Reset() {
 	}
 	e.order = e.order[:0]
 	e.hole = false
-	// Refill high-to-low, so Timers go out in index order as on a fresh engine.
-	e.free = e.free[:0]
-	for i := len(e.pool)*poolBlock - 1; i >= 0; i-- {
-		e.recycle(e.pooled(uint32(i)))
-	}
 }
 
 // Now returns the current simulated time.
@@ -177,64 +153,13 @@ func (e *Engine) Pending() int {
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// ---- one-shot pool -----------------------------------------------------
-
-func (e *Engine) pooled(i uint32) *Timer { return &e.pool[i/poolBlock][i%poolBlock] }
-
-// oneShot arms an idle pool Timer to run argFn(arg) (or the func() in arg
-// when argFn is nil) at t and returns its handle. Handing the Timer out
-// bumps its generation, so every handle to its earlier uses goes stale.
-func (e *Engine) oneShot(t Time, argFn func(any), arg any) EventID {
-	if len(e.free) == 0 {
-		e.grow()
-	}
-	n := len(e.free) - 1
-	tm := e.free[n]
-	e.free = e.free[:n]
-	tm.gen++
-	tm.argFn, tm.arg = argFn, arg
-	e.arm(tm, t)
-	return EventID(uint64(tm.gen)<<32 | uint64(tm.idx))
-}
-
-// grow adds a block of idle Timers to the pool.
-func (e *Engine) grow() {
-	b := new([poolBlock]Timer)
-	base := uint32(len(e.pool)) * poolBlock
-	e.pool = append(e.pool, b)
-	for i := poolBlock - 1; i >= 0; i-- {
-		b[i].idx = base + uint32(i)
-		e.free = append(e.free, &b[i])
-	}
-}
-
-// recycle returns an un-queued one-shot to the pool.
-func (e *Engine) recycle(tm *Timer) {
-	tm.argFn, tm.arg = nil, nil
-	e.free = append(e.free, tm)
-}
-
-// live resolves a handle to its queued one-shot, or nil if the event
-// fired, was canceled, or never existed.
-func (e *Engine) live(id EventID) *Timer {
-	idx := uint32(id)
-	if id == None || int(idx) >= len(e.pool)*poolBlock {
-		return nil
-	}
-	tm := e.pooled(idx)
-	if tm.gen != uint32(id>>32) || tm.pos == 0 {
-		return nil
-	}
-	return tm
-}
-
 // ---- 4-ary heap --------------------------------------------------------
 //
-// Keys are (at, seq); seq is the global schedule counter, so ties resolve
-// in insertion order and runs are fully deterministic. A 4-ary layout
-// halves the tree depth of a binary heap and keeps the children of one
-// node adjacent in memory. Every move writes the Timer's pos (heap
-// position + 1, so 0 means "not queued").
+// Keys are (at, seq); seq is the global arm counter, so ties resolve in
+// arm order and runs are fully deterministic. A 4-ary layout halves the
+// tree depth of a binary heap and keeps the children of one node adjacent
+// in memory. Every move writes the Timer's pos (heap position + 1, so 0
+// means "not queued").
 //
 // sched/runqueue.go carries a sibling of this position-tracked 4-ary heap
 // specialized to *Task. The duplication is deliberate — a shared helper
@@ -301,9 +226,10 @@ func (e *Engine) siftDown(i int) {
 	ent.tm.pos = int32(i + 1)
 }
 
-// arm queues tm to fire at t with the next sequence number, exactly as a
-// fresh At would. A queued tm is re-keyed in place; an unqueued one takes
-// the fired root's place if step left it open, else joins at the bottom.
+// arm queues tm to fire at t with the next sequence number. A queued tm
+// is re-keyed in place; an unqueued one takes the fired root's place if
+// step left it open, else joins at the bottom. Arming in the past panics:
+// it is always a model bug.
 func (e *Engine) arm(tm *Timer, t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
@@ -322,7 +248,15 @@ func (e *Engine) arm(tm *Timer, t Time) {
 		e.siftDown(0)
 		return
 	}
+	// The heap outgrows its embedded seed for good (Reset keeps the larger
+	// array), so clear the seed then: its stale entries would keep their
+	// Timers' owners, such as a finished trial's tasks, reachable for the
+	// engine's lifetime.
+	outgrow := len(e.order) == len(e.orderSeed) && &e.order[0] == &e.orderSeed[0]
 	e.order = append(e.order, ent)
+	if outgrow {
+		clear(e.orderSeed[:])
+	}
 	e.siftUp(len(e.order) - 1)
 }
 
@@ -340,98 +274,26 @@ func (e *Engine) unqueue(tm *Timer) {
 	}
 }
 
-// ---- scheduling --------------------------------------------------------
-
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it is always a model bug.
-func (e *Engine) At(t Time, fn func()) EventID { return e.oneShot(t, nil, fn) }
-
-// After schedules fn to run d after the current time.
-func (e *Engine) After(d Time, fn func()) EventID { return e.At(e.now+max(d, 0), fn) }
-
-// AtArg schedules fn(arg) to run at absolute time t. It is the
-// allocation-free form of At for hot paths: with a package-level fn (a
-// static func value) and a pointer-shaped arg, scheduling allocates
-// nothing — no closure is built.
-func (e *Engine) AtArg(t Time, fn func(any), arg any) EventID { return e.oneShot(t, fn, arg) }
-
-// AtBatch schedules fn(arg) at absolute time t for every arg, exactly as
-// consecutive AtArg calls do: consecutive sequence numbers, so relative
-// firing order matches the args order. It is the spawn-wave path: an
-// entry never sifts above an earlier entry of the same time.
-func (e *Engine) AtBatch(t Time, fn func(any), args ...any) {
-	for _, arg := range args {
-		e.AtArg(t, fn, arg)
-	}
-}
-
-// Cancel removes a scheduled event so it will not fire. Canceling a zero
-// handle, an already-fired event or an already-canceled event is a no-op.
-func (e *Engine) Cancel(id EventID) {
-	if tm := e.live(id); tm != nil {
-		e.unqueue(tm)
-		e.recycle(tm)
-	}
-}
-
-// EventTime reports when a scheduled event will fire; ok is false when the
-// handle no longer refers to a queued event.
-func (e *Engine) EventTime(id EventID) (at Time, ok bool) {
-	if tm := e.live(id); tm != nil {
-		return e.order[tm.pos-1].at, true
-	}
-	return 0, false
-}
-
 // ---- timers ------------------------------------------------------------
 
 // Timer is a reusable scheduled callback bound to one Engine, and the
 // event heap's element: it carries its own heap position (its firing time
-// and sequence number sit in its heap entry). Recurring reschedule
-// patterns pay zero allocations per event: the callback is bound once (at
-// NewTimer, Init or InitArg), and Reset/ResetAt re-key the Timer in place.
-// A Timer is single-shot per arm (fire once, then Pending reports false)
-// and, like its Engine, goroutine-confined.
-//
-// The zero Timer is unbound: embed it in a long-lived struct and bind it
-// with Init or InitArg on first use — that removes even the Timer's own
-// heap allocation, and InitArg's static-callback-plus-receiver form removes
-// the closure too.
+// and sequence number sit in its heap entry). The zero Timer is unbound:
+// embed it in a long-lived struct and bind it once with InitArg to a
+// static callback and its receiver; Reset and ResetAt then re-key it in
+// place, so a recurring event pays no allocation at all. A Timer is
+// single-shot per arm (fire once, then Pending reports false) and, like
+// its Engine, goroutine-confined.
 type Timer struct {
-	eng *Engine // nil for the engine's pooled one-shots
-	// A Timer runs argFn(arg), a static callback plus its receiver (the
-	// allocation-free form), or, when argFn is nil, the func() held in arg
-	// (a func value is pointer-shaped, so storing it allocates nothing).
-	argFn func(any)
-	arg   any
-	pos   int32 // heap position + 1; 0 when not queued
-	// gen and idx identify a pooled one-shot: how many times it has been
-	// handed out (the EventID's generation) and its pool index.
-	gen, idx uint32
-}
-
-// NewTimer returns an unarmed timer that will run fn each time it fires.
-func (e *Engine) NewTimer(fn func()) *Timer {
-	if fn == nil {
-		panic("sim: NewTimer with nil callback")
-	}
-	return &Timer{eng: e, arg: fn}
-}
-
-// Init binds an embedded (zero-value) timer to an engine and callback.
-// Re-initializing a bound timer panics: it would orphan a pending arm.
-func (tm *Timer) Init(e *Engine, fn func()) {
-	if tm.eng != nil {
-		panic("sim: Timer.Init on an already-bound timer")
-	}
-	if fn == nil {
-		panic("sim: Timer.Init with nil callback")
-	}
-	tm.eng, tm.arg = e, fn
+	eng *Engine
+	fn  func(any)
+	arg any
+	pos int32 // heap position + 1; 0 when not queued
 }
 
 // InitArg binds an embedded timer to a static callback and its receiver
-// argument: the allocation-free form (no closure is built, ever).
+// argument: the timer runs fn(arg) each time it fires. Re-binding a bound
+// timer panics: it would orphan a pending arm.
 func (tm *Timer) InitArg(e *Engine, fn func(any), arg any) {
 	if tm.eng != nil {
 		panic("sim: Timer.InitArg on an already-bound timer")
@@ -439,15 +301,15 @@ func (tm *Timer) InitArg(e *Engine, fn func(any), arg any) {
 	if fn == nil {
 		panic("sim: Timer.InitArg with nil callback")
 	}
-	tm.eng, tm.argFn, tm.arg = e, fn, arg
+	tm.eng, tm.fn, tm.arg = e, fn, arg
 }
 
-// Bound reports whether the timer has been bound to an engine (NewTimer,
-// Init or InitArg); embedded timers use it for lazy first-use binding.
+// Bound reports whether InitArg has bound the timer; embedded timers use
+// it for lazy first-use binding.
 func (tm *Timer) Bound() bool { return tm.eng != nil }
 
-// Reset arms the timer to fire d after the current time, replacing any
-// pending arm.
+// Reset arms the timer to fire d after the current time (a negative d
+// counts as zero), replacing any pending arm.
 func (tm *Timer) Reset(d Time) { tm.eng.arm(tm, tm.eng.now+max(d, 0)) }
 
 // ResetAt arms the timer to fire at absolute time t, replacing any pending
@@ -500,19 +362,9 @@ func (e *Engine) step() bool {
 	e.now = top.at
 	tm := top.tm
 	tm.pos = 0
-	argFn, arg := tm.argFn, tm.arg
-	if tm.eng == nil {
-		// Recycle a fired one-shot before the callback, so whatever the
-		// callback schedules next can reuse it.
-		e.recycle(tm)
-	}
 	e.hole = true
 	e.processed++
-	if argFn != nil {
-		argFn(arg)
-	} else {
-		arg.(func())()
-	}
+	tm.fn(tm.arg)
 	if e.hole {
 		e.hole = false
 		n := len(e.order) - 1

@@ -5,12 +5,31 @@ import (
 	"testing/quick"
 )
 
+// event is a test-local one-shot: a Timer bound to run fn when it fires.
+type event struct {
+	Timer
+	fn func()
+}
+
+func fireEvent(a any) { a.(*event).fn() }
+
+// at arms a fresh Timer on e to run fn at t.
+func at(e *Engine, t Time, fn func()) *Timer {
+	ev := &event{fn: fn}
+	ev.InitArg(e, fireEvent, ev)
+	ev.ResetAt(t)
+	return &ev.Timer
+}
+
+// after arms a fresh Timer on e to run fn d after now.
+func after(e *Engine, d Time, fn func()) *Timer { return at(e, e.Now()+max(d, 0), fn) }
+
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	eng := NewEngine()
 	var got []int
-	eng.At(30*Millisecond, func() { got = append(got, 3) })
-	eng.At(10*Millisecond, func() { got = append(got, 1) })
-	eng.At(20*Millisecond, func() { got = append(got, 2) })
+	at(eng, 30*Millisecond, func() { got = append(got, 3) })
+	at(eng, 10*Millisecond, func() { got = append(got, 1) })
+	at(eng, 20*Millisecond, func() { got = append(got, 2) })
 	eng.Run(0)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("events out of order: %v", got)
@@ -24,8 +43,7 @@ func TestEngineTieBreaksByInsertion(t *testing.T) {
 	eng := NewEngine()
 	var got []int
 	for i := 0; i < 10; i++ {
-		i := i
-		eng.At(Millisecond, func() { got = append(got, i) })
+		at(eng, Millisecond, func() { got = append(got, i) })
 	}
 	eng.Run(0)
 	for i, v := range got {
@@ -37,62 +55,23 @@ func TestEngineTieBreaksByInsertion(t *testing.T) {
 
 func TestEngineSchedulingInPastPanics(t *testing.T) {
 	eng := NewEngine()
-	eng.At(10*Millisecond, func() {})
+	at(eng, 10*Millisecond, func() {})
 	eng.Run(0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past should panic")
 		}
 	}()
-	eng.At(5*Millisecond, func() {})
-}
-
-func TestEngineCancel(t *testing.T) {
-	eng := NewEngine()
-	fired := false
-	ev := eng.At(Millisecond, func() { fired = true })
-	if at, ok := eng.EventTime(ev); !ok || at != Millisecond {
-		t.Fatalf("EventTime = %v,%v, want 1ms,true", at, ok)
-	}
-	eng.Cancel(ev)
-	eng.Run(0)
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-	if _, ok := eng.EventTime(ev); ok {
-		t.Fatal("canceled event still reports a fire time")
-	}
-	eng.Cancel(ev) // double cancel is a no-op
-	eng.Cancel(None)
-}
-
-func TestEngineStaleHandleAfterFire(t *testing.T) {
-	eng := NewEngine()
-	ev := eng.At(Millisecond, func() {})
-	eng.Run(0)
-	if _, ok := eng.EventTime(ev); ok {
-		t.Fatal("fired event still reports a fire time")
-	}
-	// The pooled Timer is reused; the stale handle must not cancel its new tenant.
-	fired := false
-	ev2 := eng.At(2*Millisecond, func() { fired = true })
-	eng.Cancel(ev)
-	if _, ok := eng.EventTime(ev2); !ok {
-		t.Fatal("stale Cancel hit a reused one-shot Timer")
-	}
-	eng.Run(0)
-	if !fired {
-		t.Fatal("recycled event lost")
-	}
+	at(eng, 5*Millisecond, func() {})
 }
 
 func TestEngineCancelMiddleOfQueue(t *testing.T) {
 	eng := NewEngine()
 	var got []int
-	eng.At(1*Millisecond, func() { got = append(got, 1) })
-	ev := eng.At(2*Millisecond, func() { got = append(got, 2) })
-	eng.At(3*Millisecond, func() { got = append(got, 3) })
-	eng.Cancel(ev)
+	at(eng, 1*Millisecond, func() { got = append(got, 1) })
+	mid := at(eng, 2*Millisecond, func() { got = append(got, 2) })
+	at(eng, 3*Millisecond, func() { got = append(got, 3) })
+	mid.Stop()
 	eng.Run(0)
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("got %v, want [1 3]", got)
@@ -102,8 +81,8 @@ func TestEngineCancelMiddleOfQueue(t *testing.T) {
 func TestEngineRunUntil(t *testing.T) {
 	eng := NewEngine()
 	var got []int
-	eng.At(1*Millisecond, func() { got = append(got, 1) })
-	eng.At(5*Millisecond, func() { got = append(got, 5) })
+	at(eng, 1*Millisecond, func() { got = append(got, 1) })
+	at(eng, 5*Millisecond, func() { got = append(got, 5) })
 	eng.RunUntil(3 * Millisecond)
 	if len(got) != 1 || got[0] != 1 {
 		t.Fatalf("got %v, want [1]", got)
@@ -120,12 +99,11 @@ func TestEngineRunUntil(t *testing.T) {
 func TestEngineRunBounded(t *testing.T) {
 	eng := NewEngine()
 	count := 0
-	var reschedule func()
-	reschedule = func() {
+	var tm *Timer
+	tm = after(eng, Millisecond, func() {
 		count++
-		eng.After(Millisecond, reschedule)
-	}
-	eng.After(Millisecond, reschedule)
+		tm.Reset(Millisecond)
+	})
 	n := eng.Run(50)
 	if n != 50 || count != 50 {
 		t.Fatalf("Run(50) processed %d events, callback ran %d times", n, count)
@@ -135,9 +113,9 @@ func TestEngineRunBounded(t *testing.T) {
 func TestEngineEventsDuringEvent(t *testing.T) {
 	eng := NewEngine()
 	var got []string
-	eng.At(Millisecond, func() {
+	at(eng, Millisecond, func() {
 		got = append(got, "outer")
-		eng.After(Millisecond, func() { got = append(got, "inner") })
+		after(eng, Millisecond, func() { got = append(got, "inner") })
 	})
 	eng.Run(0)
 	if len(got) != 2 || got[1] != "inner" {
@@ -145,13 +123,19 @@ func TestEngineEventsDuringEvent(t *testing.T) {
 	}
 }
 
+// A relative arm with a negative delay clamps to now.
 func TestEngineAfterNegativeClamps(t *testing.T) {
 	eng := NewEngine()
 	fired := false
-	eng.After(-5, func() { fired = true })
+	tm := at(eng, Millisecond, func() { fired = true })
+	eng.RunUntil(Millisecond / 2)
+	tm.Reset(-5)
+	if when, _ := tm.When(); when != Millisecond/2 {
+		t.Fatalf("Reset(-5) armed at %v, want now (%v)", when, Millisecond/2)
+	}
 	eng.Run(0)
 	if !fired {
-		t.Fatal("negative After should clamp to now and fire")
+		t.Fatal("negative Reset should clamp to now and fire")
 	}
 }
 
@@ -161,8 +145,8 @@ func TestEngineOrderProperty(t *testing.T) {
 		eng := NewEngine()
 		var fired []Time
 		for _, d := range delays {
-			at := Time(d) * Microsecond
-			eng.At(at, func() { fired = append(fired, at) })
+			when := Time(d) * Microsecond
+			at(eng, when, func() { fired = append(fired, when) })
 		}
 		eng.Run(0)
 		for i := 1; i < len(fired); i++ {

@@ -101,18 +101,6 @@ func (r *RNG) ExpDuration(mean Time) Time {
 	return Time(d)
 }
 
-// Normal returns a normally distributed value (Box–Muller) with the given
-// mean and standard deviation.
-func (r *RNG) Normal(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
-}
-
 // Jitter returns d scaled by a uniform factor in [1-f, 1+f]; used to add
 // bounded run-to-run noise to service times.
 func (r *RNG) Jitter(d Time, f float64) Time {
@@ -121,15 +109,4 @@ func (r *RNG) Jitter(d Time, f float64) Time {
 	}
 	scale := 1 + f*(2*r.Float64()-1)
 	return Time(float64(d) * scale)
-}
-
-// Perm returns a random permutation of [0,n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(7), NewRNG(7)
@@ -86,25 +83,6 @@ func TestExpDurationMean(t *testing.T) {
 	}
 }
 
-func TestNormalMoments(t *testing.T) {
-	r := NewRNG(6)
-	var sum, sq float64
-	const n = 20000
-	for i := 0; i < n; i++ {
-		v := r.Normal(5, 2)
-		sum += v
-		sq += v * v
-	}
-	mean := sum / n
-	variance := sq/n - mean*mean
-	if mean < 4.9 || mean > 5.1 {
-		t.Fatalf("normal mean %v, want ≈5", mean)
-	}
-	if variance < 3.6 || variance > 4.4 {
-		t.Fatalf("normal variance %v, want ≈4", variance)
-	}
-}
-
 func TestJitterBounds(t *testing.T) {
 	r := NewRNG(8)
 	const base = 100 * Millisecond
@@ -116,28 +94,6 @@ func TestJitterBounds(t *testing.T) {
 	}
 	if r.Jitter(base, 0) != base {
 		t.Fatal("zero jitter must be identity")
-	}
-}
-
-// Property: Perm returns a permutation of [0,n).
-func TestPermProperty(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := NewRNG(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -157,9 +113,7 @@ func TestDrawsCountsEveryDrawMethod(t *testing.T) {
 		{"Float64", func() { r.Float64() }},
 		{"Intn", func() { r.Intn(5) }},
 		{"ExpDuration", func() { r.ExpDuration(Millisecond) }},
-		{"Normal", func() { r.Normal(0, 1) }},
 		{"Jitter", func() { r.Jitter(Millisecond, 0.1) }},
-		{"Perm", func() { r.Perm(4) }},
 	} {
 		before := r.Draws()
 		c.draw()

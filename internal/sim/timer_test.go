@@ -6,16 +6,12 @@ func TestTimerFiresAndRearms(t *testing.T) {
 	eng := NewEngine()
 	var fired []Time
 	var tm *Timer
-	tm = eng.NewTimer(func() {
+	tm = at(eng, Millisecond, func() {
 		fired = append(fired, eng.Now())
 		if len(fired) < 3 {
 			tm.Reset(Millisecond)
 		}
 	})
-	if tm.Pending() {
-		t.Fatal("fresh timer pending")
-	}
-	tm.Reset(Millisecond)
 	if at, ok := tm.When(); !ok || at != Millisecond {
 		t.Fatalf("When = %v,%v", at, ok)
 	}
@@ -26,13 +22,15 @@ func TestTimerFiresAndRearms(t *testing.T) {
 	if tm.Pending() {
 		t.Fatal("exhausted timer pending")
 	}
+	if _, ok := tm.When(); ok {
+		t.Fatal("exhausted timer reports a fire time")
+	}
 }
 
 func TestTimerResetReplacesPendingArm(t *testing.T) {
 	eng := NewEngine()
 	count := 0
-	tm := eng.NewTimer(func() { count++ })
-	tm.Reset(Millisecond)
+	tm := at(eng, Millisecond, func() { count++ })
 	tm.Reset(5 * Millisecond) // replaces, never duplicates
 	eng.RunUntil(2 * Millisecond)
 	if count != 0 {
@@ -47,8 +45,7 @@ func TestTimerResetReplacesPendingArm(t *testing.T) {
 func TestTimerStop(t *testing.T) {
 	eng := NewEngine()
 	count := 0
-	tm := eng.NewTimer(func() { count++ })
-	tm.Reset(Millisecond)
+	tm := at(eng, Millisecond, func() { count++ })
 	tm.Stop()
 	tm.Stop() // double stop is a no-op
 	eng.Run(0)
@@ -62,60 +59,16 @@ func TestTimerStop(t *testing.T) {
 	}
 }
 
-func TestTimerOrderMatchesAt(t *testing.T) {
-	// A Timer's arm consumes the same (time, seq) key an At call would, so
-	// mixing timers and one-shot events keeps the deterministic tie order.
-	eng := NewEngine()
-	var got []int
-	tm := eng.NewTimer(func() { got = append(got, 1) })
-	tm.Reset(Millisecond)
-	eng.At(Millisecond, func() { got = append(got, 2) })
-	eng.Run(0)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("tie order = %v, want [1 2]", got)
-	}
-}
-
 // ---- allocation guards (the kernel's zero-alloc contract) ---------------
 
-// nopFn lives outside the measured closures so the measured calls carry a
-// preexisting func value, like the scheduler's pooled callbacks do.
-var nopFn = func() {}
-
-func TestAllocsPerEventAfter(t *testing.T) {
-	eng := NewEngine()
-	// Warm the one-shot pool and heap capacity.
-	for i := 0; i < 64; i++ {
-		eng.After(Microsecond, nopFn)
-	}
-	eng.Run(0)
-	avg := testing.AllocsPerRun(1000, func() {
-		eng.After(Microsecond, nopFn)
-		eng.Step()
-	})
-	if avg > 0 {
-		t.Fatalf("Engine.After allocates %.2f allocs/event in steady state, want 0", avg)
-	}
-}
-
-func TestAllocsPerEventAt(t *testing.T) {
-	eng := NewEngine()
-	for i := 0; i < 64; i++ {
-		eng.After(Microsecond, nopFn)
-	}
-	eng.Run(0)
-	avg := testing.AllocsPerRun(1000, func() {
-		eng.At(eng.Now()+Microsecond, nopFn)
-		eng.Step()
-	})
-	if avg > 0 {
-		t.Fatalf("Engine.At allocates %.2f allocs/event in steady state, want 0", avg)
-	}
-}
+// tickArg is a static InitArg callback: it counts fires in *int.
+func tickArg(a any) { *a.(*int)++ }
 
 func TestAllocsPerEventTimerReset(t *testing.T) {
 	eng := NewEngine()
-	tm := eng.NewTimer(nopFn)
+	var tm Timer
+	var fires int
+	tm.InitArg(eng, tickArg, &fires)
 	for i := 0; i < 64; i++ {
 		tm.Reset(Microsecond)
 		eng.Step()
@@ -129,69 +82,72 @@ func TestAllocsPerEventTimerReset(t *testing.T) {
 	}
 }
 
-func TestSlotPoolReuse(t *testing.T) {
-	eng := NewEngine()
-	const rounds = 10_000
-	for i := 0; i < rounds; i++ {
-		eng.After(Microsecond, nopFn)
-		eng.Step()
-	}
-	// Sequential schedule/fire must keep the one-shot pool at one block,
-	// not grow it per event.
-	if n := len(eng.pool); n > 1 {
-		t.Fatalf("one-shot pool grew to %d blocks for sequential events, want O(1)", n)
-	}
-	if eng.Processed() != rounds {
-		t.Fatalf("processed %d, want %d", eng.Processed(), rounds)
-	}
-}
-
-// tickArg is a static InitArg callback: it counts fires in *int.
-func tickArg(a any) { *a.(*int)++ }
-
 func TestEngineResetUnqueuesTimers(t *testing.T) {
 	eng := NewEngine()
 	var host struct {
-		tm    Timer // embedded, bound with InitArg like the scheduler's timers
-		fires int
+		tm    [2]Timer // embedded, bound with InitArg like the scheduler's timers
+		fires [2]int
 	}
-	host.tm.InitArg(eng, tickArg, &host.fires)
-	shots := 0
-	host.tm.Reset(Millisecond)
-	old := eng.After(2*Millisecond, func() { shots++ })
+	for k := range host.tm {
+		host.tm[k].InitArg(eng, tickArg, &host.fires[k])
+	}
+	host.tm[0].Reset(Millisecond)
+	host.tm[1].Reset(2 * Millisecond)
 	eng.Reset()
 
-	if host.tm.Pending() {
-		t.Fatal("timer armed before Reset still pending")
-	}
-	if at, ok := host.tm.When(); ok {
-		t.Fatalf("timer armed before Reset reports When = %v", at)
-	}
-	if at, ok := eng.EventTime(old); ok {
-		t.Fatalf("one-shot handle from before Reset reports EventTime = %v", at)
+	for k := range host.tm {
+		if host.tm[k].Pending() {
+			t.Fatalf("timer %d armed before Reset still pending", k)
+		}
+		if at, ok := host.tm[k].When(); ok {
+			t.Fatalf("timer %d armed before Reset reports When = %v", k, at)
+		}
 	}
 	if n := eng.Pending(); n != 0 {
 		t.Fatalf("Pending after Reset = %d, want 0", n)
 	}
 
-	// A new one-shot reuses the pool Timer the old handle named; the old
-	// handle must not reach it.
-	eng.After(2*Millisecond, func() { shots++ })
-	eng.Cancel(old)
-	if _, ok := eng.EventTime(old); ok {
-		t.Fatal("stale handle resolves to the new one-shot")
+	host.tm[1].Reset(Millisecond)
+	if eng.Run(0) != 1 || host.fires != [2]int{0, 1} || eng.Now() != Millisecond {
+		t.Fatalf("after Reset: fires %v (processed %d, now %v), want [0 1] at 1ms",
+			host.fires, eng.Processed(), eng.Now())
 	}
-	host.tm.Reset(Millisecond)
-	if eng.Run(0) != 2 || host.fires != 1 || shots != 1 {
-		t.Fatalf("after Reset: timer fired %d, one-shot fired %d (processed %d), want 1 and 1",
-			host.fires, shots, eng.Processed())
+
+	// Reset keeps the heap array a run grew: re-arming as many Timers as
+	// the previous run queued allocates nothing.
+	many := make([]Timer, 200)
+	for i := range many {
+		many[i].InitArg(eng, tickArg, &host.fires[0])
+		many[i].Reset(Time(i))
 	}
-	// Reset returns queued one-shots to the pool instead of leaking them.
-	for i := 0; i < 2*poolBlock; i++ {
-		eng.After(Millisecond, nopFn)
+	avg := testing.AllocsPerRun(10, func() {
 		eng.Reset()
+		for i := range many {
+			many[i].Reset(Time(i))
+		}
+	})
+	if avg > 0 {
+		t.Fatalf("re-arming %d Timers after Reset allocates %.2f times, want 0", len(many), avg)
 	}
-	if n := len(eng.pool); n != 1 {
-		t.Fatalf("one-shot pool grew to %d blocks across Resets, want 1", n)
+}
+
+// TestOutgrownSeedHoldsNoTimers: once the heap outgrows the engine's
+// embedded seed array, the seed holds no Timer pointers, which would keep
+// the Timers' owners reachable for as long as the engine lives.
+func TestOutgrownSeedHoldsNoTimers(t *testing.T) {
+	eng := NewEngine()
+	var fires int
+	many := make([]Timer, len(eng.orderSeed)+1)
+	for i := range many {
+		many[i].InitArg(eng, tickArg, &fires)
+		many[i].Reset(Time(i))
+	}
+	for i, ent := range eng.orderSeed {
+		if ent.tm != nil {
+			t.Fatalf("outgrown seed entry %d still points at a Timer", i)
+		}
+	}
+	if eng.Run(0) != uint64(len(many)) || fires != len(many) {
+		t.Fatalf("fired %d of %d Timers", fires, len(many))
 	}
 }

@@ -61,23 +61,3 @@ func TestPercentilesUnsortedPs(t *testing.T) {
 		t.Fatalf("Percentiles(xs) = %v, want []", got)
 	}
 }
-
-func TestOverlapsNaN(t *testing.T) {
-	good := Summary{Mean: 1, CI95: 0.1}
-	for _, bad := range []Summary{
-		{Mean: math.NaN(), CI95: 0.1},
-		{Mean: 1, CI95: math.NaN()},
-	} {
-		// Every NaN comparison is false, so a NaN summary reports
-		// non-overlap — "cannot show equivalence", the conservative answer
-		// for the paper's significance criterion.
-		if Overlaps(good, bad) || Overlaps(bad, good) {
-			t.Fatalf("Overlaps with NaN summary %+v = true, want false", bad)
-		}
-	}
-	// Zero-width intervals at the same point still overlap.
-	a := Summary{Mean: 2}
-	if !Overlaps(a, a) {
-		t.Fatal("identical point summaries should overlap")
-	}
-}

@@ -109,20 +109,6 @@ func MedianSorted(sorted []float64) float64 {
 	return (sorted[n/2-1] + sorted[n/2]) / 2
 }
 
-// Percentile returns the p-th percentile (0..100) by nearest-rank.
-//
-// Each call copies and sorts the sample; callers that need several
-// quantiles of the same sample should use Percentiles (one sort) or sort
-// once themselves and use PercentileSorted.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	return PercentileSorted(c, p)
-}
-
 // PercentileSorted returns the p-th nearest-rank percentile of an
 // already-sorted sample without copying or re-sorting it.
 func PercentileSorted(sorted []float64, p float64) float64 {
@@ -164,12 +150,6 @@ func Percentiles(xs []float64, ps ...float64) []float64 {
 		out[i] = PercentileSorted(c, p)
 	}
 	return out
-}
-
-// Overlaps reports whether two 95% CIs overlap — the paper's "no
-// statistically significant difference" criterion (Fig 7 discussion).
-func Overlaps(a, b Summary) bool {
-	return math.Abs(a.Mean-b.Mean) <= a.CI95+b.CI95
 }
 
 // String renders "mean ± ci" compactly.

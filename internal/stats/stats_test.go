@@ -59,6 +59,18 @@ func TestRatio(t *testing.T) {
 	}
 }
 
+// Percentile is the p-th nearest-rank percentile (0..100) of one copied,
+// sorted sample: the per-call reference Percentiles and PercentileSorted
+// are checked against.
+func Percentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	c := append([]float64(nil), xs...)
+	sort.Float64s(c)
+	return PercentileSorted(c, p)
+}
+
 func TestMedianAndPercentile(t *testing.T) {
 	xs := []float64{5, 1, 9, 3, 7}
 	if Median(xs) != 5 {
@@ -78,18 +90,6 @@ func TestMedianAndPercentile(t *testing.T) {
 	}
 	if Percentile(nil, 50) != 0 {
 		t.Fatal("empty percentile")
-	}
-}
-
-func TestOverlaps(t *testing.T) {
-	a := Summary{Mean: 10, CI95: 1}
-	b := Summary{Mean: 11.5, CI95: 1}
-	if !Overlaps(a, b) {
-		t.Fatal("CIs [9,11] and [10.5,12.5] overlap")
-	}
-	c := Summary{Mean: 20, CI95: 1}
-	if Overlaps(a, c) {
-		t.Fatal("distant CIs must not overlap")
 	}
 }
 

@@ -61,12 +61,24 @@ func NewCPUSet(cpus ...int) CPUSet {
 	return s
 }
 
-// Range returns the set {lo, lo+1, ..., hi} (inclusive).
+// Range returns the set {lo, lo+1, ..., hi} (inclusive), empty when
+// lo > hi. A nonempty range must lie within [0, MaxCPUs): out-of-range ids
+// panic, as in Add.
 func Range(lo, hi int) CPUSet {
 	var s CPUSet
-	for c := lo; c <= hi; c++ {
-		s.Add(c)
+	if lo > hi {
+		return s
 	}
+	if lo < 0 || hi >= MaxCPUs {
+		panic(fmt.Sprintf("topology: cpu range %d-%d out of range", lo, hi))
+	}
+	lw, hw := lo/64, hi/64
+	for w := lw; w <= hw; w++ {
+		s.bits[w] = ^uint64(0)
+	}
+	s.bits[lw] &= ^uint64(0) << uint(lo%64)
+	s.bits[hw] &= ^uint64(0) >> uint(63-hi%64)
+	s.hi = int8(hw + 1)
 	return s
 }
 

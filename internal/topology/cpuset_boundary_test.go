@@ -58,6 +58,25 @@ func TestCPUSetCrossWordRange(t *testing.T) {
 	}
 }
 
+// TestRangeMatchesPerCPUAdds: Range fills whole words; it must build the
+// same set and the same significant-word hint as adding each CPU in turn.
+func TestRangeMatchesPerCPUAdds(t *testing.T) {
+	for _, c := range []struct{ lo, hi int }{
+		{0, 0}, {0, 63}, {0, 64}, {63, 64}, {1, 62}, {64, 127}, {63, 128},
+		{127, 128}, {5, 1023}, {1023, 1023}, {0, 1023}, {5, 4}, {1023, 0},
+	} {
+		var want CPUSet
+		for cpu := c.lo; cpu <= c.hi; cpu++ {
+			want.Add(cpu)
+		}
+		got := Range(c.lo, c.hi)
+		if !got.Equal(want) || got.Words() != want.Words() {
+			t.Fatalf("Range(%d, %d) = %v (words %d), want %v (words %d)",
+				c.lo, c.hi, got.String(), got.Words(), want.String(), want.Words())
+		}
+	}
+}
+
 func TestCPUSetWordBoundaryAlgebra(t *testing.T) {
 	lo := NewCPUSet(0, 63)           // one word
 	hiSeam := NewCPUSet(63, 64)      // straddles words 0/1

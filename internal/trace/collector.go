@@ -30,14 +30,6 @@ func DefaultKey(t *sched.Task) string {
 	return "host"
 }
 
-// ByTaskName keys samples by the task's configured name.
-func ByTaskName(t *sched.Task) string {
-	if t == nil {
-		return "?"
-	}
-	return t.Spec.Name
-}
-
 // nBlockKinds is the size of the per-reason off-CPU table (BlockNone..
 // BlockSleep).
 const nBlockKinds = int(sched.BlockSleep) + 1

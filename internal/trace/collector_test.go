@@ -105,6 +105,15 @@ func TestCollectorReport(t *testing.T) {
 	}
 }
 
+// ByTaskName keys samples by the task's configured name: a per-task KeyFn
+// for the tests, which the default per-cgroup key would not separate.
+func ByTaskName(t *sched.Task) string {
+	if t == nil {
+		return "?"
+	}
+	return t.Spec.Name
+}
+
 func TestCollectorByTaskName(t *testing.T) {
 	col := NewCollector(ByTaskName)
 	topo, _ := topology.New("t", 1, 2, 1)

@@ -178,9 +178,3 @@ func UnmarshalDriver(name string, params []byte) (Driver, error) {
 	}
 	return d, nil
 }
-
-// MarshalDriverParams serializes a driver's full parameter struct — the
-// round-trippable form scenario specs embed.
-func MarshalDriverParams(d Driver) ([]byte, error) {
-	return json.Marshal(d)
-}

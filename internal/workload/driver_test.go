@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -106,13 +107,15 @@ func TestScaleQuickMatchesFigureScaling(t *testing.T) {
 	}
 }
 
-func TestMarshalDriverParamsRoundTrips(t *testing.T) {
+// TestUnmarshalDriverRoundTrips: a driver's full parameter struct, as JSON,
+// parses back to the same driver.
+func TestUnmarshalDriverRoundTrips(t *testing.T) {
 	for _, name := range DriverNames() {
 		d, err := NewDriver(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := MarshalDriverParams(d)
+		data, err := json.Marshal(d)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
