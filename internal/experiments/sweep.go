@@ -18,14 +18,18 @@ import (
 	"sync/atomic"
 
 	"repro/internal/platform"
+	"repro/internal/resultstore"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
-// bootResamples is the bootstrap resample count behind every SweepCell
-// interval.
-const bootResamples = 1000
+// bootResamples and bootConfidence are the bootstrap resample count and
+// coverage behind every SweepCell interval.
+const (
+	bootResamples  = 1000
+	bootConfidence = 0.95
+)
 
 // WorkloadNames are the workload classes a sweep can request, in Table I
 // order plus the §VI network extension. Each accepts the aliases the driver
@@ -121,10 +125,11 @@ type SweepCell struct {
 	// BootCI is the 95% percentile-bootstrap interval of the cell mean —
 	// the distribution-free companion to Summary.CI95's Student-t interval,
 	// meaningful at the small rep counts sweeps run with. The worker that
-	// finishes the cell's last repetition computes it. Deterministic: the
-	// bootstrap seed is derived from the cell's content, like the trial
-	// seeds, so the interval is identical at any worker count and store
-	// warmth.
+	// finishes the cell's last repetition computes it, or replays it from
+	// the store's cells tier when an earlier run computed it from the same
+	// values. Deterministic: the bootstrap seed is derived from the cell's
+	// content, like the trial seeds, so the interval is identical at any
+	// worker count and store warmth.
 	BootCI stats.Interval
 	// Breakdown is the overhead attribution of the last repetition.
 	Breakdown sched.Breakdown
@@ -174,7 +179,7 @@ func Sweep(cfg Config, spec SweepSpec) (*SweepResult, error) {
 		}
 		results[i] = r
 		if pending[ci].Add(-1) == 0 {
-			pc.cell.aggregate(cfg.Seed, results[ci*reps:(ci+1)*reps])
+			pc.cell.aggregate(cfg, results[ci*reps:(ci+1)*reps])
 		}
 		return nil
 	})
@@ -256,7 +261,7 @@ func (pc *cellPlan) input(cfg Config, rep int) trialInput {
 
 // aggregate fills the cell's Summary, BootCI and Breakdown from its
 // repetitions' results, in repetition order.
-func (c *SweepCell) aggregate(seed uint64, results []TrialResult) {
+func (c *SweepCell) aggregate(cfg Config, results []TrialResult) {
 	vals := make([]float64, len(results))
 	for rep, r := range results {
 		vals[rep] = r.Metric
@@ -266,10 +271,42 @@ func (c *SweepCell) aggregate(seed uint64, results []TrialResult) {
 	// Content-derived bootstrap seed, for the same reason the trial seeds
 	// are content-derived: the same cell reports the same interval in
 	// every sweep that contains it.
-	bseed := seedFor(seed, 0x42_53, // "BS": decorrelated from trial streams
+	bseed := seedFor(cfg.Seed, 0x42_53, // "BS": decorrelated from trial streams
 		uint64(c.Spec.Kind), uint64(c.Spec.Mode),
 		uint64(c.Cores), uint64(c.MemGB), workloadTag(c.Workload))
-	c.BootCI = stats.BootstrapCI(vals, 0.95, bootResamples, int64(bseed&math.MaxInt64))
+	c.BootCI = cellInterval(cfg.Memo, vals, int64(bseed&math.MaxInt64))
+}
+
+// cellInterval returns stats.BootstrapCI(vals, bootConfidence,
+// bootResamples, seed): from the store's cells tier when it holds it,
+// otherwise computed (and stored, when there is a store).
+func cellInterval(memo TrialStore, vals []float64, seed int64) stats.Interval {
+	compute := func() (stats.Interval, error) {
+		return stats.BootstrapCI(vals, bootConfidence, bootResamples, seed), nil
+	}
+	if memo == nil {
+		iv, _ := compute()
+		return iv
+	}
+	iv, _ := memo.Cells().GetOrCompute(cellKey(vals, bootConfidence, bootResamples, seed), compute)
+	return iv
+}
+
+// cellKey is the cells-tier key of BootstrapCI(vals, confidence,
+// resamples, seed): the canonical encoding of every input the interval is
+// a pure function of, values by their exact bits. A record is therefore
+// correct for any cell, sweep or process whose values match.
+func cellKey(vals []float64, confidence float64, resamples int, seed int64) uint64 {
+	var e resultstore.Enc
+	e.Version(cellSchema)
+	e.I64(seed)
+	e.Int(resamples)
+	e.F64(confidence)
+	e.Int(len(vals))
+	for _, v := range vals {
+		e.F64(v)
+	}
+	return e.Sum64()
 }
 
 // workloadTag folds a workload name into the seed derivation.

@@ -5,11 +5,17 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/machine"
 	"repro/internal/platform"
+	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
 // buildFresh runs trials through Pool but hands each one a nil
@@ -232,4 +238,77 @@ func TestInstanceBufferAllocFree(t *testing.T) {
 			t.Fatalf("%d tenants: %v allocs per trial instance list, want 0", tenants, avg)
 		}
 	}
+}
+
+// sentinelProgram computes once and exits. A finalizer on it reports when
+// the task holding it became unreachable: a program is referenced only by
+// its task's spec, and it points at nothing, so it forms no cycle that
+// could keep its own finalizer from running.
+type sentinelProgram struct {
+	done bool
+	next *sentinelProgram // a pointer field keeps it out of the tiny allocator
+}
+
+func (p *sentinelProgram) Next(*sched.Task) sched.Action {
+	if p.done {
+		return sched.Done()
+	}
+	p.done = true
+	return sched.Compute(sim.Millisecond)
+}
+
+// sentinelWorkload spawns tasks tasks at time 0, each running its own
+// sentinelProgram; with collected set, each program's finalizer counts it.
+type sentinelWorkload struct {
+	tasks     int
+	collected *atomic.Int32
+}
+
+func (sentinelWorkload) Name() string { return "sentinel" }
+
+func (w sentinelWorkload) Spawn(env workload.Env) workload.Instance {
+	for range w.tasks {
+		p := new(sentinelProgram)
+		if w.collected != nil {
+			runtime.SetFinalizer(p, func(*sentinelProgram) { w.collected.Add(1) })
+		}
+		env.M.Spawn(sched.TaskSpec{Name: "sentinel", Group: env.Group, Affinity: env.Affinity, Program: p}, 0)
+	}
+	return sentinelInstance{}
+}
+
+type sentinelInstance struct{}
+
+func (sentinelInstance) Metric(machine.Result) float64 { return 0 }
+
+// TestResetReleasesFirstTrialTasks: once a pooled machine is reset and
+// redeployed for its next trial, nothing keeps the first trial's tasks
+// reachable. The first trial queues enough tasks per CPU to grow the
+// runqueue heaps past their initial carve of the scheduler's shared heap
+// slab; the old carve used to keep its stale task pointers, and with them
+// the first trial's whole task arena, for the machine's lifetime.
+func TestResetReleasesFirstTrialTasks(t *testing.T) {
+	const tasks = 32
+	cfg := Config{Seed: 1}.withDefaults()
+	stack := platform.Spec{Kind: platform.BM, Mode: platform.Vanilla, Cores: 2}.Stack()
+	var collected atomic.Int32
+	tc := new(TrialContext)
+	_, reused0 := DeployStats()
+	for _, w := range []sentinelWorkload{{tasks, &collected}, {tasks, nil}} {
+		in := trialInput{host: cfg.Host, stack: stack, size: 2, ws: []workload.Workload{w}, memGB: 8, seed: 1}
+		if _, _, err := runStack(tc, cfg, in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, reused := DeployStats(); reused != reused0+1 {
+		t.Fatalf("%d deployments reused, want the second trial to reset the first one's machine", reused-reused0)
+	}
+	for i := 0; i < 100 && collected.Load() < tasks; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n := collected.Load(); n != tasks {
+		t.Fatalf("%d of the first trial's %d tasks were collected after a reset and redeploy", n, tasks)
+	}
+	runtime.KeepAlive(tc)
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/resultstore"
 	"repro/internal/sched"
+	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -166,6 +167,9 @@ func (k *keyRecorder) GetOrCompute(key uint64, _ func() (TrialResult, error)) (T
 }
 func (k *keyRecorder) Stats() resultstore.Stats { return resultstore.Stats{} }
 func (k *keyRecorder) Close() error             { return nil }
+func (k *keyRecorder) Cells() resultstore.Store[stats.Interval] {
+	return (*resultstore.Mem[stats.Interval])(nil)
+}
 
 // checkCellKeys fails unless the keys a run asked its store for are, as a
 // multiset, the trialKey of every one of its trials.

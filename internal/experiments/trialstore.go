@@ -1,43 +1,133 @@
 package experiments
 
-// The typed trial-result store layer: TrialStore is resultstore.Store
-// instantiated for TrialResult, with the versioned canonical record codec
-// that makes results durable across processes. NewTrialMemo keeps the
+// The typed trial-result store layer. A TrialStore has two tiers: trial
+// results, resultstore.Store instantiated for TrialResult with the
+// versioned canonical record codec that makes them durable across
+// processes, and sweep-cell bootstrap intervals (Cells), which let a warm
+// sweep replay skip its cells' resampling. NewTrialMemo keeps the
 // historical in-memory behavior (and name); OpenTrialStore adds the
-// disk-backed tier, and MergeTrialStores assembles shard runs.
+// disk-backed tiers, and MergeTrialStores assembles shard runs.
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"path/filepath"
 
 	"repro/internal/resultstore"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
 // TrialStore is the pluggable trial-result store behind Config.Memo: the
 // in-memory memo, or a durable disk-backed store whose results survive the
-// process and can be merged across shard runs.
-type TrialStore = resultstore.Store[TrialResult]
+// process and can be merged across shard runs. Its own methods are the
+// trial tier, and Stats counts trial records only.
+type TrialStore interface {
+	resultstore.Store[TrialResult]
+	// Cells is the tier of sweep-cell bootstrap intervals, keyed by
+	// everything an interval is a pure function of (cellKey). A warm sweep
+	// reads each cell's interval here instead of redrawing it.
+	Cells() resultstore.Store[stats.Interval]
+}
 
-// TrialMemo is the in-memory TrialStore tier — the historical per-process
-// memoization table. Share one across repeated or overlapping runs via
-// Config.Memo to skip already-simulated cells; it is safe for concurrent
-// use by parallel workers.
-type TrialMemo = resultstore.Mem[TrialResult]
+// TrialMemo is the in-memory TrialStore — the historical per-process
+// memoization table, plus a cells tier of the same kind. Share one across
+// repeated or overlapping runs via Config.Memo to skip already-simulated
+// cells; it is safe for concurrent use by parallel workers. A nil
+// *TrialMemo behaves like a nil *resultstore.Mem in both tiers: it
+// computes everything and keeps nothing.
+type TrialMemo struct {
+	trials *resultstore.Mem[TrialResult]
+	cells  *resultstore.Mem[stats.Interval]
+}
 
 // NewTrialMemo returns an empty in-memory trial store for Config.Memo.
-func NewTrialMemo() *TrialMemo { return resultstore.NewMem[TrialResult]() }
+func NewTrialMemo() *TrialMemo {
+	return &TrialMemo{trials: resultstore.NewMem[TrialResult](), cells: resultstore.NewMem[stats.Interval]()}
+}
+
+// tier returns the trial tier (nil for a nil memo, which the nil-safe
+// resultstore.Mem methods turn into always-miss, drop-writes).
+func (m *TrialMemo) tier() *resultstore.Mem[TrialResult] {
+	if m == nil {
+		return nil
+	}
+	return m.trials
+}
+
+// Get implements TrialStore.
+func (m *TrialMemo) Get(key uint64) (TrialResult, bool) { return m.tier().Get(key) }
+
+// Put implements TrialStore.
+func (m *TrialMemo) Put(key uint64, r TrialResult) { m.tier().Put(key, r) }
+
+// GetOrCompute implements TrialStore.
+func (m *TrialMemo) GetOrCompute(key uint64, compute func() (TrialResult, error)) (TrialResult, error) {
+	return m.tier().GetOrCompute(key, compute)
+}
+
+// Stats implements TrialStore: the trial tier's counters.
+func (m *TrialMemo) Stats() resultstore.Stats { return m.tier().Stats() }
+
+// Close implements TrialStore as a no-op.
+func (m *TrialMemo) Close() error { return nil }
+
+// Cells implements TrialStore.
+func (m *TrialMemo) Cells() resultstore.Store[stats.Interval] {
+	if m == nil {
+		return (*resultstore.Mem[stats.Interval])(nil)
+	}
+	return m.cells
+}
+
+// cellsDir is the cells tier's directory inside a durable store. The
+// trial tier's open scan reads only segment files, so it never sees it.
+const cellsDir = "cells"
+
+// diskTrialStore is OpenTrialStore's TrialStore: the trial tier in the
+// store directory and the cells tier in its cells/ subdirectory, two
+// independent resultstore.Disk segment sets.
+type diskTrialStore struct {
+	*resultstore.Disk[TrialResult]
+	cells resultstore.Store[stats.Interval]
+}
+
+// Cells implements TrialStore.
+func (s *diskTrialStore) Cells() resultstore.Store[stats.Interval] { return s.cells }
+
+// Close implements TrialStore: it flushes and closes both tiers.
+func (s *diskTrialStore) Close() error {
+	return errors.Join(s.Disk.Close(), s.cells.Close())
+}
 
 // OpenTrialStore opens (creating if needed) the durable trial store at
 // dir for Config.Memo: every intact record on disk is loaded at open, and
 // every newly-simulated trial is appended, so repeated runs are
 // incremental across processes. Corrupt or stale-schema records are
 // skipped with a warning and recomputed; an unusable directory fails fast
-// unless resultstore.WithDegradedFallback(true) is passed. Close the store
-// to flush.
+// unless resultstore.WithDegradedFallback(true) is passed. The cells tier
+// under dir/cells never fails the open: an unusable one degrades to
+// memory-only with one warning, and a store whose trial tier opened
+// degraded keeps its cells in memory without a second one. Close the
+// store to flush.
 func OpenTrialStore(dir string, opts ...resultstore.Option) (TrialStore, error) {
-	return resultstore.Open[TrialResult](dir, trialCodec{}, opts...)
+	trials, err := resultstore.Open[TrialResult](dir, trialCodec{}, opts...)
+	if err != nil {
+		return nil, err
+	}
+	s := &diskTrialStore{Disk: trials}
+	if trials.Stats().Degraded {
+		s.cells = resultstore.NewMem[stats.Interval]()
+		return s, nil
+	}
+	cellOpts := append(opts[:len(opts):len(opts)], resultstore.WithDegradedFallback(true))
+	if s.cells, err = resultstore.Open[stats.Interval](filepath.Join(dir, cellsDir), intervalCodec{}, cellOpts...); err != nil {
+		// Unreachable under WithDegradedFallback; keep the run going anyway.
+		s.cells = resultstore.NewMem[stats.Interval]()
+	}
+	return s, nil
 }
 
 // openTrialStoreWarn is OpenTrialStore with a warning sink (test seam).
@@ -45,12 +135,26 @@ func openTrialStoreWarn(dir string, warn io.Writer) (TrialStore, error) {
 	return OpenTrialStore(dir, resultstore.WithWarnWriter(warn))
 }
 
-// MergeTrialStores loads every intact record of the trial stores at dirs
-// into dst — the shard-assembly path: after N `-shard i/N -store dir`
+// MergeTrialStores loads every intact trial record of the trial stores at
+// dirs into dst — the shard-assembly path: after N `-shard i/N -store dir`
 // runs, one merge run unions the shard stores and re-renders the figure
-// with zero recomputation.
+// with zero recomputation. Shard runs aggregate no cells, so the cells
+// tiers are left alone; the merge run computes its cells' intervals.
 func MergeTrialStores(dst TrialStore, dirs ...string) error {
-	return resultstore.Merge[TrialResult](dst, trialCodec{}, dirs)
+	return resultstore.Merge[TrialResult](trialTier(dst), trialCodec{}, dirs)
+}
+
+// trialTier returns the trial tier of this package's stores, whose
+// concrete type Merge folds its audit counters into, and any other
+// TrialStore as it is.
+func trialTier(st TrialStore) resultstore.Store[TrialResult] {
+	switch s := st.(type) {
+	case *TrialMemo:
+		return s.tier()
+	case *diskTrialStore:
+		return s.Disk
+	}
+	return st
 }
 
 // StoreStatsLine renders one store's counters for the CLIs' -v output.
@@ -62,12 +166,12 @@ func MergeTrialStores(dst TrialStore, dirs ...string) error {
 // subtracted when it exceeds this store's misses, which means it also
 // counts runs outside this store.
 func StoreStatsLine(st TrialStore) string {
-	return storeStatsLine(st.Stats(), SharedRepetitions())
+	return storeStatsLine(st.Stats(), SharedRepetitions(), st.Cells().Stats())
 }
 
-// storeStatsLine is StoreStatsLine over a stats snapshot and a shared
-// repetition count.
-func storeStatsLine(s resultstore.Stats, shared uint64) string {
+// storeStatsLine is StoreStatsLine over the trial tier's stats snapshot, a
+// shared repetition count and the cells tier's snapshot.
+func storeStatsLine(s resultstore.Stats, shared uint64, cells resultstore.Stats) string {
 	sims := s.Misses
 	if shared <= sims {
 		sims -= shared
@@ -97,6 +201,9 @@ func storeStatsLine(s resultstore.Stats, shared uint64) string {
 	}
 	if hits, misses := topology.IndexCacheStats(); hits+misses > 0 {
 		line += fmt.Sprintf(", %d topology index cache hits (%d misses)", hits, misses)
+	}
+	if cells.Hits+cells.Misses > 0 {
+		line += fmt.Sprintf(", %d cell intervals replayed (%d computed)", cells.Hits, cells.Misses)
 	}
 	return line
 }
@@ -162,4 +269,42 @@ func (trialCodec) Decode(payload []byte) (TrialResult, error) {
 		*c = d.U64()
 	}
 	return r, nil
+}
+
+// cellSchema versions the cells tier: the first byte of every cell key
+// and of every interval record. Bump it whenever stats.BootstrapCI's
+// result for given inputs, the key walk (cellKey) or the record layout
+// changes, so old records stop matching or fail decoding and are
+// recomputed instead of being misread.
+const cellSchema = 1
+
+// intervalRecordLen is the fixed encoded size: version byte, Lo, Hi and
+// Confidence.
+const intervalRecordLen = 1 + 3*8
+
+// intervalCodec is the canonical versioned encoding of stats.Interval
+// (see resultstore.Codec), exact float bit patterns included, so a
+// replayed interval renders the bytes the computed one did.
+type intervalCodec struct{}
+
+// Append implements resultstore.Codec.
+func (intervalCodec) Append(dst []byte, iv stats.Interval) []byte {
+	var e resultstore.Enc
+	e.Version(cellSchema)
+	e.F64(iv.Lo)
+	e.F64(iv.Hi)
+	e.F64(iv.Confidence)
+	return append(dst, e.Bytes()...)
+}
+
+// Decode implements resultstore.Codec.
+func (intervalCodec) Decode(payload []byte) (stats.Interval, error) {
+	if len(payload) != intervalRecordLen {
+		return stats.Interval{}, fmt.Errorf("interval record is %d bytes, want %d", len(payload), intervalRecordLen)
+	}
+	if payload[0] != cellSchema {
+		return stats.Interval{}, fmt.Errorf("interval record schema %d, want %d", payload[0], cellSchema)
+	}
+	d := resultstore.NewDec(payload[1:])
+	return stats.Interval{Lo: d.F64(), Hi: d.F64(), Confidence: d.F64()}, nil
 }

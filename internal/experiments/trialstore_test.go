@@ -194,7 +194,7 @@ func TestStoreStatsLineSubtractsShared(t *testing.T) {
 		{4, []string{"2 hits, 10 misses (6 simulations)", ", 4 repetitions shared"}},
 		{12, []string{"2 hits, 10 misses (10 simulations)", ", 12 repetitions shared"}},
 	} {
-		line := storeStatsLine(s, c.shared)
+		line := storeStatsLine(s, c.shared, resultstore.Stats{})
 		for _, want := range c.want {
 			if !strings.Contains(line, want) {
 				t.Errorf("shared=%d: line %q lacks %q", c.shared, line, want)

@@ -66,7 +66,18 @@ func (sq *subQueue) throttledQ() bool { return sq.g != nil && sq.g.Throttled() }
 
 func (sq *subQueue) push(t *Task) {
 	t.rqPos = int32(len(sq.h))
-	sq.h = append(sq.h, rqEntry{vruntime: t.vruntime, rqSeq: t.rqSeq, t: t})
+	ent := rqEntry{vruntime: t.vruntime, rqSeq: t.rqSeq, t: t}
+	if len(sq.h) < cap(sq.h) {
+		sq.h = append(sq.h, ent)
+	} else {
+		// Growing moves the heap off its old backing — often a carve of
+		// the shared heapBack slab, which lives as long as the scheduler —
+		// so clear that backing, or its stale task pointers would keep a
+		// finished run's task arena reachable.
+		old := sq.h
+		sq.h = append(sq.h, ent)
+		clear(old)
+	}
 	sq.siftUp(int(t.rqPos))
 }
 

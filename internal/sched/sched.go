@@ -278,7 +278,10 @@ func (s *Scheduler) Reset(cfg Config) {
 		for i := range c.subs {
 			sq := &c.subs[i]
 			sq.g = nil
-			sq.h = sq.h[:0] // keep the heap's carve/growth for the next run
+			// Keep the heap's carve/growth for the next run, without the
+			// tasks a timed-out run left queued.
+			clear(sq.h)
+			sq.h = sq.h[:0]
 		}
 		c.subs = c.subs[:0]
 		c.queued = 0
