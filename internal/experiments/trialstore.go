@@ -117,15 +117,13 @@ func OpenTrialStore(dir string, opts ...resultstore.Option) (TrialStore, error) 
 	if err != nil {
 		return nil, err
 	}
-	s := &diskTrialStore{Disk: trials}
+	s := &diskTrialStore{Disk: trials, cells: resultstore.NewMem[stats.Interval]()}
 	if trials.Stats().Degraded {
-		s.cells = resultstore.NewMem[stats.Interval]()
 		return s, nil
 	}
 	cellOpts := append(opts[:len(opts):len(opts)], resultstore.WithDegradedFallback(true))
-	if s.cells, err = resultstore.Open[stats.Interval](filepath.Join(dir, cellsDir), intervalCodec{}, cellOpts...); err != nil {
-		// Unreachable under WithDegradedFallback; keep the run going anyway.
-		s.cells = resultstore.NewMem[stats.Interval]()
+	if cells, err := resultstore.Open[stats.Interval](filepath.Join(dir, cellsDir), intervalCodec{}, cellOpts...); err == nil {
+		s.cells = cells
 	}
 	return s, nil
 }

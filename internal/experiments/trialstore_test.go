@@ -177,6 +177,10 @@ func TestStoreStatsLineFormat(t *testing.T) {
 	if !strings.Contains(line, "1 hits, 1 misses (1 simulations)") {
 		t.Fatalf("stats line drifted from the documented format: %q", line)
 	}
+	// The cells suffix appears only after a sweep looked an interval up.
+	if strings.Contains(line, "cell intervals") {
+		t.Fatalf("stats line reports a cells tier that saw no lookup: %q", line)
+	}
 }
 
 // TestStoreStatsLineSubtractsShared: a miss answered from a seed-free

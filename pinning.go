@@ -92,7 +92,8 @@ type (
 	// TrialStore is the pluggable trial-result store behind
 	// ExperimentConfig.Memo: the in-memory memo, or a durable disk-backed
 	// store (OpenTrialStore) whose results survive the process and merge
-	// across shard runs.
+	// across shard runs. Its Cells tier keeps sweep cells' bootstrap
+	// intervals, so a warm RunSweep replays them instead of redrawing.
 	TrialStore = experiments.TrialStore
 	// TrialMemo is the in-memory TrialStore tier; share one via
 	// ExperimentConfig.Memo to skip already-simulated cells.
