@@ -58,6 +58,30 @@ func HashBytesFrom(h uint64, p []byte) uint64 {
 	return h
 }
 
+// HashBytesFrom4 is four HashBytesFrom calls in one pass: lane i of the
+// result is HashBytesFrom(h[i], p_i), bit for bit, for any lengths. FNV-1a
+// is one serial chain of multiplies per stream, so a single stream waits
+// on each multiply; four independent chains interleaved keep the
+// multiplier busy. The lanes run together over the shortest input, and
+// each lane's remainder runs alone.
+func HashBytesFrom4(h [4]uint64, p0, p1, p2, p3 []byte) [4]uint64 {
+	n := min(len(p0), len(p1), len(p2), len(p3))
+	h0, h1, h2, h3 := h[0], h[1], h[2], h[3]
+	q0, q1, q2, q3 := p0[:n], p1[:n], p2[:n], p3[:n]
+	for i := range q0 {
+		h0 = (h0 ^ uint64(q0[i])) * fnv64Prime
+		h1 = (h1 ^ uint64(q1[i])) * fnv64Prime
+		h2 = (h2 ^ uint64(q2[i])) * fnv64Prime
+		h3 = (h3 ^ uint64(q3[i])) * fnv64Prime
+	}
+	return [4]uint64{
+		HashBytesFrom(h0, p0[n:]),
+		HashBytesFrom(h1, p1[n:]),
+		HashBytesFrom(h2, p2[n:]),
+		HashBytesFrom(h3, p3[n:]),
+	}
+}
+
 // memoShards is the shard count: a power of two comfortably above any
 // plausible worker count, so concurrent warm readers almost never share a
 // lock even when the key population is skewed.

@@ -152,3 +152,62 @@ func TestMemoRangeVisitsEveryEntry(t *testing.T) {
 		t.Fatalf("Range ignored early stop: %d visits", n)
 	}
 }
+
+// checkHashBytesFrom4 fails unless every lane of HashBytesFrom4 equals the
+// single-stream HashBytesFrom of that lane's state and bytes.
+func checkHashBytesFrom4(t *testing.T, h [4]uint64, p [4][]byte) {
+	t.Helper()
+	got := HashBytesFrom4(h, p[0], p[1], p[2], p[3])
+	for i := range got {
+		if want := HashBytesFrom(h[i], p[i]); got[i] != want {
+			t.Fatalf("lane %d (len %d of %d,%d,%d,%d): %#x, want %#x",
+				i, len(p[i]), len(p[0]), len(p[1]), len(p[2]), len(p[3]), got[i], want)
+		}
+	}
+}
+
+// TestHashBytesFrom4MatchesHashBytesFrom checks the four-lane kernel
+// against four single-stream calls over equal and unequal lengths from 0
+// to 300 bytes, from the offset basis and from arbitrary states.
+func TestHashBytesFrom4MatchesHashBytesFrom(t *testing.T) {
+	buf := make([]byte, 301)
+	for i := range buf {
+		buf[i] = byte(i*131 + i>>3)
+	}
+	lens := []int{0, 1, 2, 3, 7, 8, 9, 31, 64, 127, 255, 299, 300}
+	states := [][4]uint64{
+		{fnv64Offset, fnv64Offset, fnv64Offset, fnv64Offset},
+		{0, 1, 0xdeadbeefcafef00d, ^uint64(0)},
+	}
+	for _, h := range states {
+		for _, a := range lens {
+			for _, b := range lens {
+				// Equal lengths, each lane shortest in turn, and lanes
+				// starting at different offsets of the buffer.
+				checkHashBytesFrom4(t, h, [4][]byte{buf[:a], buf[:a], buf[:a], buf[:a]})
+				checkHashBytesFrom4(t, h, [4][]byte{buf[:a], buf[1 : 1+b], buf[:b], buf[:b]})
+				checkHashBytesFrom4(t, h, [4][]byte{buf[:b], buf[:a], buf[:b], buf[1 : 1+b]})
+				checkHashBytesFrom4(t, h, [4][]byte{buf[:b], buf[:b], buf[:a], buf[:b]})
+				checkHashBytesFrom4(t, h, [4][]byte{buf[:b], buf[:b], buf[1 : 1+b], buf[:a]})
+			}
+		}
+	}
+	for n := 0; n <= 300; n++ {
+		checkHashBytesFrom4(t, states[1], [4][]byte{buf[:n], buf[:300-n], buf[n/2 : n], buf[n:]})
+	}
+}
+
+// FuzzHashBytesFrom4 checks the four-lane kernel against four
+// single-stream calls for arbitrary states, bytes and lengths.
+func FuzzHashBytesFrom4(f *testing.F) {
+	long := make([]byte, 300)
+	for i := range long {
+		long[i] = byte(i * 7)
+	}
+	f.Add(fnv64Offset, fnv64Offset, fnv64Offset, fnv64Offset, []byte{}, []byte{}, []byte{}, []byte{})
+	f.Add(uint64(1), uint64(2), uint64(3), uint64(4), []byte("a"), []byte("bc"), []byte(""), []byte("def"))
+	f.Add(fnv64Offset, uint64(0), ^uint64(0), uint64(42), long, long[:299], long[1:], long[:17])
+	f.Fuzz(func(t *testing.T, h0, h1, h2, h3 uint64, p0, p1, p2, p3 []byte) {
+		checkHashBytesFrom4(t, [4]uint64{h0, h1, h2, h3}, [4][]byte{p0, p1, p2, p3})
+	})
+}

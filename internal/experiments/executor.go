@@ -138,13 +138,14 @@ func (p Pool) Execute(n int, run func(tc *TrialContext, i int) error, progress f
 		panics   []TrialPanic
 	)
 	observe := func() {
+		if progress == nil {
+			return
+		}
+		// The increment and the callback share one critical section so
+		// observed counts are strictly monotonic.
 		mu.Lock()
 		done++
-		if progress != nil {
-			// The increment and the callback share one critical section so
-			// observed counts are strictly monotonic.
-			progress(done, n)
-		}
+		progress(done, n)
 		mu.Unlock()
 	}
 	worker := func() {

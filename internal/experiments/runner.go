@@ -20,7 +20,7 @@ package experiments
 // store sees exactly the trials it would have seen otherwise, and which
 // worker simulated first cannot change a byte of the output. Those keys
 // differ only in the seed, so a cell encodes the rest of its key once
-// (trialCell) and each repetition only hashes it.
+// (trialCell) and hashes it for four repetitions per pass.
 
 import (
 	"sync/atomic"
@@ -67,12 +67,19 @@ type trialInput struct {
 }
 
 // trialCell is what the repetitions of one cell share for the length of
-// one experiment call: the seed-free result slot (simulateOrShare) and the
-// cell's key tail (appendKeyTail), published by the first repetition that
-// consults a store.
+// one experiment call: the seed-free result slot (simulateOrShare), the
+// cell's key tail (appendKeyTail) and, when the call sets the cell's
+// repetition seeds before its fan-out, every repetition's key, published
+// by the first repetition that consults a store (trialCell.key).
 type trialCell struct {
 	slot atomic.Pointer[TrialResult]
 	tail atomic.Pointer[[]byte]
+	// seeds are the cell's repetition seeds in repetition order; nil keys
+	// each repetition on its own. keys holds trialKey for each seed once
+	// published, and batching marks that a repetition is computing them.
+	seeds    []uint64
+	keys     atomic.Pointer[[]uint64]
+	batching atomic.Bool
 }
 
 // runTrial is runStack behind the trial store: on a hit the simulation is

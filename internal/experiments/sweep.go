@@ -158,7 +158,10 @@ func Sweep(cfg Config, spec SweepSpec) (*SweepResult, error) {
 	}
 
 	reps := spec.Reps
-	results := make([]TrialResult, len(plan)*reps)
+	// Aggregation reads each trial's Metric and each cell's last
+	// Breakdown, so that is all the call keeps.
+	metrics := make([]float64, len(plan)*reps)
+	lastBreakdown := make([]sched.Breakdown, len(plan))
 	cells := make([]trialCell, len(plan)) // this call only
 	// pending counts each cell's repetitions still running. The worker
 	// whose repetition takes it to zero aggregates the cell, so the
@@ -168,8 +171,9 @@ func Sweep(cfg Config, spec SweepSpec) (*SweepResult, error) {
 	pending := make([]atomic.Int32, len(plan))
 	for ci := range pending {
 		pending[ci].Store(int32(reps))
+		cells[ci].seeds = plan[ci].seeds
 	}
-	err = forEachTrial(cfg, len(results), func(tc *TrialContext, i int) error {
+	err = forEachTrial(cfg, len(metrics), func(tc *TrialContext, i int) error {
 		ci, rep := i/reps, i%reps
 		pc := &plan[ci]
 		r, err := runTrial(tc, cfg, &cells[ci], pc.input(cfg, rep))
@@ -177,9 +181,12 @@ func Sweep(cfg Config, spec SweepSpec) (*SweepResult, error) {
 			return fmt.Errorf("sweep %s %s %dc/%dGB: %w",
 				pc.cell.Platform, pc.cell.Workload, pc.cell.Cores, pc.cell.MemGB, err)
 		}
-		results[i] = r
+		metrics[i] = r.Metric
+		if rep == reps-1 {
+			lastBreakdown[ci] = r.Breakdown
+		}
 		if pending[ci].Add(-1) == 0 {
-			pc.cell.aggregate(cfg, results[ci*reps:(ci+1)*reps])
+			pc.cell.aggregate(cfg, metrics[ci*reps:(ci+1)*reps], lastBreakdown[ci])
 		}
 		return nil
 	})
@@ -196,15 +203,17 @@ func Sweep(cfg Config, spec SweepSpec) (*SweepResult, error) {
 }
 
 // cellPlan is one grid point of a sweep: its cell, to be aggregated, and
-// the stack and workload list its trials run, resolved once and shared
-// read-only by every repetition.
+// the stack, workload list and repetition seeds its trials run, resolved
+// once and shared read-only by every repetition.
 type cellPlan struct {
 	cell  SweepCell
 	stack platform.Stack
 	ws    []workload.Workload
+	seeds []uint64
 }
 
-// planSweep resolves a defaulted spec into its grid, platforms outermost.
+// planSweep resolves a defaulted spec into its grid, platforms outermost,
+// with every repetition's seed.
 func planSweep(cfg Config, spec SweepSpec) ([]cellPlan, error) {
 	var plan []cellPlan
 	hostCPUs := cfg.Host.NumCPUs()
@@ -244,29 +253,34 @@ func planSweep(cfg Config, spec SweepSpec) ([]cellPlan, error) {
 			}
 		}
 	}
+	seeds := make([]uint64, len(plan)*spec.Reps)
+	for ci := range plan {
+		pc := &plan[ci]
+		pc.seeds = seeds[ci*spec.Reps : (ci+1)*spec.Reps]
+		for rep := range pc.seeds {
+			// Content-derived seed: a cell draws the same substream in
+			// every sweep that contains it, which is what lets a shared
+			// memo skip it.
+			pc.seeds[rep] = seedFor(cfg.Seed, 0x53_57, // "SW": keeps sweeps decorrelated from figures
+				uint64(pc.cell.Spec.Kind), uint64(pc.cell.Spec.Mode),
+				uint64(pc.cell.Cores), uint64(pc.cell.MemGB),
+				workloadTag(pc.cell.Workload), uint64(rep))
+		}
+	}
 	return plan, nil
 }
 
 // input returns the trial input of repetition rep of the cell.
 func (pc *cellPlan) input(cfg Config, rep int) trialInput {
-	// Content-derived seed: a cell draws the same substream in every
-	// sweep that contains it, which is what lets a shared memo skip it.
-	seed := seedFor(cfg.Seed, 0x53_57, // "SW": keeps sweeps decorrelated from figures
-		uint64(pc.cell.Spec.Kind), uint64(pc.cell.Spec.Mode),
-		uint64(pc.cell.Cores), uint64(pc.cell.MemGB),
-		workloadTag(pc.cell.Workload), uint64(rep))
 	return trialInput{host: cfg.Host, stack: pc.stack,
-		size: pc.cell.Cores, ws: pc.ws, memGB: pc.cell.MemGB, seed: seed}
+		size: pc.cell.Cores, ws: pc.ws, memGB: pc.cell.MemGB, seed: pc.seeds[rep]}
 }
 
-// aggregate fills the cell's Summary, BootCI and Breakdown from its
-// repetitions' results, in repetition order.
-func (c *SweepCell) aggregate(cfg Config, results []TrialResult) {
-	vals := make([]float64, len(results))
-	for rep, r := range results {
-		vals[rep] = r.Metric
-	}
-	c.Breakdown = results[len(results)-1].Breakdown
+// aggregate fills the cell's Summary and BootCI from its repetitions'
+// metrics, in repetition order, and its Breakdown from the last
+// repetition's. It only reads vals.
+func (c *SweepCell) aggregate(cfg Config, vals []float64, last sched.Breakdown) {
+	c.Breakdown = last
 	c.Summary = stats.Summarize(vals)
 	// Content-derived bootstrap seed, for the same reason the trial seeds
 	// are content-derived: the same cell reports the same interval in

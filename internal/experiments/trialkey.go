@@ -16,6 +16,7 @@ package experiments
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/hypervisor"
@@ -62,26 +63,80 @@ func appendKeyTail(e *resultstore.Enc, cfg Config, in trialInput) {
 	}
 }
 
-// key returns trialKey(cfg, in) for one repetition of the cell: it hashes
-// the version byte and the seed, then continues the hash over the shared
-// tail, so a repetition that finds the tail published encodes and
-// allocates nothing. One that does not encodes it and publishes it. Two
-// repetitions racing to do so encode equal bytes, and neither waits for
-// the other: with the two-repetition cells of quick figures, the workers
-// run adjacent trials of the same cell.
+// keyTailCap pre-sizes the key-tail encoder: the tails of the registered
+// scenarios and sweeps are a few hundred bytes, so one allocation holds
+// any of them instead of a chain of doublings.
+const keyTailCap = 512
+
+// key returns trialKey(cfg, in) for one repetition of the cell. A cell
+// with seeds keys all its repetitions at once: the first repetition to
+// need a key hashes every repetition's head into the shared tail, four
+// streams per pass (publishKeys), and the others look theirs up. A
+// repetition that arrives while that is under way does not wait; it
+// hashes its version byte and seed and continues over the shared tail, as
+// a cell without seeds does for every repetition. The tail is encoded by
+// whichever repetition first finds it missing and published; two
+// repetitions racing to do so encode equal bytes. A warm key allocates
+// nothing once the cell's keys or tail are published.
 func (c *trialCell) key(cfg Config, in trialInput) uint64 {
-	tail := c.tail.Load()
-	if tail == nil {
-		var e resultstore.Enc
-		appendKeyTail(&e, cfg, in)
-		b := e.Bytes()
-		tail = &b
-		c.tail.CompareAndSwap(nil, tail)
+	keys := c.keys.Load()
+	if keys == nil && c.seeds != nil && c.batching.CompareAndSwap(false, true) {
+		keys = c.publishKeys(cfg, in)
 	}
+	if keys != nil {
+		if j := slices.Index(c.seeds, in.seed); j >= 0 {
+			return (*keys)[j]
+		}
+	}
+	return cache.HashBytesFrom(keyHead(in.seed), *c.keyTail(cfg, in))
+}
+
+// keyTail returns the cell's published key tail, encoding and publishing
+// it first when no repetition has.
+func (c *trialCell) keyTail(cfg Config, in trialInput) *[]byte {
+	if tail := c.tail.Load(); tail != nil {
+		return tail
+	}
+	var e resultstore.Enc
+	e.Grow(keyTailCap)
+	appendKeyTail(&e, cfg, in)
+	b := e.Bytes()
+	c.tail.CompareAndSwap(nil, &b)
+	return &b
+}
+
+// publishKeys computes the key of every repetition seed of the cell,
+// hashing the tail for up to four seeds per pass of cache.HashBytesFrom4,
+// and publishes them in seed order.
+func (c *trialCell) publishKeys(cfg Config, in trialInput) *[]uint64 {
+	tail := *c.keyTail(cfg, in)
+	keys := make([]uint64, len(c.seeds))
+	for j := 0; j < len(keys); j += 4 {
+		seeds := c.seeds[j:min(j+4, len(keys))]
+		if len(seeds) == 1 {
+			keys[j] = cache.HashBytesFrom(keyHead(seeds[0]), tail)
+			continue
+		}
+		// Lanes past the last seed hash the tail too: four streams take
+		// about the time of two, so two or three seeds still gain.
+		var h [4]uint64
+		for l, s := range seeds {
+			h[l] = keyHead(s)
+		}
+		out := cache.HashBytesFrom4(h, tail, tail, tail, tail)
+		copy(keys[j:], out[:len(seeds)])
+	}
+	c.keys.Store(&keys)
+	return &keys
+}
+
+// keyHead is the FNV-1a state of a trial key after its version byte and
+// seed, the part of the key that is a repetition's own.
+func keyHead(seed uint64) uint64 {
 	var head [9]byte
 	head[0] = trialKeySchema
-	binary.LittleEndian.PutUint64(head[1:], in.seed)
-	return cache.HashBytesFrom(cache.HashBytes(head[:]), *tail)
+	binary.LittleEndian.PutUint64(head[1:], seed)
+	return cache.HashBytes(head[:])
 }
 
 // appendHVKey walks hypervisor.Params in declaration order.

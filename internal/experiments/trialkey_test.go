@@ -218,26 +218,56 @@ func TestCellKeysMatchTrialKey(t *testing.T) {
 		}
 	}
 
-	rec := new(keyRecorder)
-	cfg := Config{Seed: 42, Quick: true, Memo: rec}.withDefaults()
-	spec := SweepSpec{Workloads: []string{"ffmpeg", "wordpress", "microservice"}, Reps: 50}
-	if _, err := Sweep(cfg, spec); err != nil {
-		t.Fatal(err)
+	// The benchmark's sweep grid, and sweeps whose repetition counts leave
+	// one, three and one again of four hash lanes in a cell's last pass.
+	for _, reps := range []int{50, 1, 3, 5} {
+		rec := new(keyRecorder)
+		cfg := Config{Seed: 42, Quick: true, Memo: rec}.withDefaults()
+		spec := SweepSpec{Workloads: []string{"ffmpeg", "wordpress", "microservice"}, Reps: reps}
+		if _, err := Sweep(cfg, spec); err != nil {
+			t.Fatal(err)
+		}
+		plan, err := planSweep(cfg, spec.withDefaults(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []uint64
+		for ci := range plan {
+			for rep := range spec.Reps {
+				want = append(want, trialKey(cfg, plan[ci].input(cfg, rep)))
+			}
+		}
+		if reps == 50 && len(want) != 6300 {
+			t.Fatalf("benchmark sweep grid has %d trials, want 6300", len(want))
+		}
+		checkCellKeys(t, fmt.Sprintf("sweep with %d reps", reps), rec.keys, want)
 	}
-	plan, err := planSweep(cfg, spec.withDefaults(cfg))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestCellKeyWithoutBatch: a repetition that finds its cell's keys being
+// computed by another, or whose seed is not among the cell's seeds, keys
+// itself from the tail, and gets trialKey either way.
+func TestCellKeyWithoutBatch(t *testing.T) {
+	cfg := Config{Seed: 42}.withDefaults()
+	stack := platform.Spec{Kind: platform.CN, Mode: platform.Pinned, Cores: 4}.Stack()
+	in := trialInput{cfg.Host, stack, 4, []workload.Workload{workload.DefaultTranscode()}, 16, 7, 0}
+	busy := &trialCell{seeds: []uint64{5, 6, 7}}
+	busy.batching.Store(true)
+	if got, want := busy.key(cfg, in), trialKey(cfg, in); got != want || busy.keys.Load() != nil {
+		t.Fatalf("key during another repetition's batch = %#x (keys published: %v), want %#x without publishing",
+			got, busy.keys.Load() != nil, want)
 	}
-	var want []uint64
-	for ci := range plan {
-		for rep := range spec.Reps {
-			want = append(want, trialKey(cfg, plan[ci].input(cfg, rep)))
+	other := &trialCell{seeds: []uint64{1, 2, 3, 4, 5}}
+	if got, want := other.key(cfg, in), trialKey(cfg, in); got != want {
+		t.Fatalf("key of a seed outside the cell = %#x, want %#x", got, want)
+	}
+	for j, s := range other.seeds {
+		alt := in
+		alt.seed = s
+		if got, want := (*other.keys.Load())[j], trialKey(cfg, alt); got != want {
+			t.Fatalf("published key %d = %#x, want %#x", j, got, want)
 		}
 	}
-	if len(want) != 6300 {
-		t.Fatalf("benchmark sweep grid has %d trials, want 6300", len(want))
-	}
-	checkCellKeys(t, "benchmark sweep", rec.keys, want)
 }
 
 // TestWarmHitKeyAllocFree: a warm hit builds its key from the cell's
@@ -262,5 +292,33 @@ func TestWarmHitKeyAllocFree(t *testing.T) {
 	}
 	if hits := cfg.Memo.Stats().Hits; hits != 1+101 {
 		t.Fatalf("store counted %d hits, want every warm call to hit", hits)
+	}
+}
+
+// TestCellKeyConcurrent: repetitions keying one cell at the same time, so
+// that some find its keys being computed and key themselves, all get
+// trialKey. Run it under -race.
+func TestCellKeyConcurrent(t *testing.T) {
+	cfg := Config{Seed: 42}.withDefaults()
+	stack := platform.Spec{Kind: platform.VM, Mode: platform.Vanilla, Cores: 8}.Stack()
+	in := trialInput{cfg.Host, stack, 8, []workload.Workload{workload.DefaultNoSQL()}, 32, 0, 0}
+	seeds := []uint64{11, 12, 13, 14, 15, 16, 17}
+	for round := 0; round < 20; round++ {
+		cell := &trialCell{seeds: seeds}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for j := range seeds {
+					alt := in
+					alt.seed = seeds[(g+j)%len(seeds)]
+					if got, want := cell.key(cfg, alt), trialKey(cfg, alt); got != want {
+						t.Errorf("seed %d: key %#x, want %#x", alt.seed, got, want)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	}
 }

@@ -9,12 +9,15 @@ package experiments
 // disk-backed tiers, and MergeTrialStores assembles shard runs.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"path/filepath"
 
 	"repro/internal/resultstore"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -249,24 +252,32 @@ func (trialCodec) Decode(payload []byte) (TrialResult, error) {
 	if payload[0] != trialRecordSchema {
 		return TrialResult{}, fmt.Errorf("trial record schema %d, want %d", payload[0], trialRecordSchema)
 	}
-	d := resultstore.NewDec(payload[1:])
-	var r TrialResult
-	r.Metric = d.F64()
-	for _, t := range [...]*sim.Time{
-		&r.Breakdown.UsefulWork, &r.Breakdown.SwitchTime, &r.Breakdown.MigrationTime,
-		&r.Breakdown.AcctTime, &r.Breakdown.ChurnTime, &r.Breakdown.ThrottleTime,
-		&r.Breakdown.IRQTime, &r.Breakdown.VirtioTime, &r.Breakdown.MsgTime,
-		&r.Breakdown.NestedTime, &r.Breakdown.WanderTime,
-	} {
-		*t = sim.Time(d.I64())
-	}
-	for _, c := range [...]*uint64{
-		&r.Breakdown.Switches, &r.Breakdown.Migrations, &r.Breakdown.Steals,
-		&r.Breakdown.Wakeups, &r.Breakdown.IOs, &r.Breakdown.Messages, &r.Breakdown.Throttles,
-	} {
-		*c = d.U64()
-	}
-	return r, nil
+	// Fixed offsets: word i is payload[1+8i:], in Append's order.
+	p := payload[1:trialRecordLen]
+	word := func(i int) uint64 { return binary.LittleEndian.Uint64(p[8*i:]) }
+	return TrialResult{
+		Metric: math.Float64frombits(word(0)),
+		Breakdown: sched.Breakdown{
+			UsefulWork:    sim.Time(word(1)),
+			SwitchTime:    sim.Time(word(2)),
+			MigrationTime: sim.Time(word(3)),
+			AcctTime:      sim.Time(word(4)),
+			ChurnTime:     sim.Time(word(5)),
+			ThrottleTime:  sim.Time(word(6)),
+			IRQTime:       sim.Time(word(7)),
+			VirtioTime:    sim.Time(word(8)),
+			MsgTime:       sim.Time(word(9)),
+			NestedTime:    sim.Time(word(10)),
+			WanderTime:    sim.Time(word(11)),
+			Switches:      word(12),
+			Migrations:    word(13),
+			Steals:        word(14),
+			Wakeups:       word(15),
+			IOs:           word(16),
+			Messages:      word(17),
+			Throttles:     word(18),
+		},
+	}, nil
 }
 
 // cellSchema versions the cells tier: the first byte of every cell key

@@ -24,6 +24,12 @@ package resultstore
 // the deliberate trade for a 20-byte record overhead: every failure mode
 // degrades to recomputation (bounded by one segment), never to bad data.
 //
+// Framing a record reads only its length field, so the scan frames up to
+// four records ahead and checksums them in one pass of the four-lane
+// FNV-1a kernel (cache.HashBytesFrom4) before handling them in file order;
+// what it loads, counts and warns is exactly what a one-record-at-a-time
+// walk would (scan_test.go holds it to one).
+//
 // Fault model (PR 8): every filesystem touch goes through an injectable FS
 // (fs.go). Transient errors and O_EXCL collisions are retried under a
 // bounded, jittered backoff; a write failure rotates to a fresh segment so
@@ -720,10 +726,21 @@ func sumRecord(rec []byte) uint64 {
 	return cache.HashBytes(rec)
 }
 
+// scanGroup is how many framed records the open scan checksums per call
+// of the four-lane hash kernel.
+const scanGroup = 4
+
 // scanSegmentFile reads one segment through the given reader and walks it,
 // calling put for every provably-intact, decodable record. It returns how
 // many records were loaded, how many were skipped as corrupt, and the
 // segment's byte size (counted whole — corrupt bytes still occupy disk).
+//
+// Framing a record needs only its length field, never its checksum, so the
+// walk frames up to scanGroup records ahead, checksums them in one
+// cache.HashBytesFrom4 call, and then handles them in file order, followed
+// by the torn tail that stopped the framing, if any: the warnings, their
+// order and the counts are those of a walk that checks one record at a
+// time.
 func scanSegmentFile[V any](read func(string) ([]byte, error), path string, codec Codec[V], warner *Warner, put func(key uint64, v V)) (loaded, corrupt uint64, size int64) {
 	data, err := read(path)
 	if err != nil {
@@ -735,39 +752,50 @@ func scanSegmentFile[V any](read func(string) ([]byte, error), path string, code
 		warner.Warnf("bad-segment-header", "resultstore: %s: bad segment header — skipping segment (its results will be recomputed)", path)
 		return 0, 1, size
 	}
+	basis := cache.HashBytes(nil) // sumRecord's starting state
 	off := len(segMagic)
 	for off < len(data) {
-		if len(data)-off < recHeaderLen+recSumLen {
-			warner.Warnf("torn-record", "resultstore: %s: torn record at offset %d — dropping tail (will be recomputed)", path, off)
+		// Frame up to scanGroup records: starts[k] is record k's offset
+		// and bodies[k] its key+len+payload bytes.
+		var starts [scanGroup]int
+		var bodies [scanGroup][]byte
+		n, torn := 0, ""
+		for n < scanGroup && off < len(data) {
+			if len(data)-off < recHeaderLen+recSumLen {
+				torn = "torn record"
+				break
+			}
+			payloadLen := int(binary.LittleEndian.Uint32(data[off+8:]))
+			end := off + recHeaderLen + payloadLen + recSumLen
+			if payloadLen > MaxPayload || end > len(data) {
+				torn = "torn or corrupt record"
+				break
+			}
+			starts[n], bodies[n] = off, data[off:end-recSumLen]
+			n++
+			off = end
+		}
+		sums := cache.HashBytesFrom4([4]uint64{basis, basis, basis, basis}, bodies[0], bodies[1], bodies[2], bodies[3])
+		for k, body := range bodies[:n] {
+			if sums[k] != binary.LittleEndian.Uint64(data[starts[k]+len(body):]) {
+				warner.Warnf("checksum-mismatch", "resultstore: %s: checksum mismatch at offset %d — skipping record (will be recomputed)", path, starts[k])
+				corrupt++
+				continue
+			}
+			v, err := codec.Decode(body[recHeaderLen:])
+			if err != nil {
+				warner.Warnf("undecodable-record", "resultstore: %s: undecodable record at offset %d: %v — skipping record (will be recomputed)", path, starts[k], err)
+				corrupt++
+				continue
+			}
+			put(binary.LittleEndian.Uint64(body), v)
+			loaded++
+		}
+		if torn != "" {
+			warner.Warnf("torn-record", "resultstore: %s: %s at offset %d — dropping tail (will be recomputed)", path, torn, off)
 			corrupt++
 			break
 		}
-		payloadLen := int(binary.LittleEndian.Uint32(data[off+8:]))
-		end := off + recHeaderLen + payloadLen + recSumLen
-		if payloadLen > MaxPayload || end > len(data) {
-			warner.Warnf("torn-record", "resultstore: %s: torn or corrupt record at offset %d — dropping tail (will be recomputed)", path, off)
-			corrupt++
-			break
-		}
-		body := data[off : off+recHeaderLen+payloadLen]
-		sum := binary.LittleEndian.Uint64(data[off+recHeaderLen+payloadLen:])
-		if sumRecord(body) != sum {
-			warner.Warnf("checksum-mismatch", "resultstore: %s: checksum mismatch at offset %d — skipping record (will be recomputed)", path, off)
-			corrupt++
-			off = end
-			continue
-		}
-		key := binary.LittleEndian.Uint64(body)
-		v, err := codec.Decode(body[recHeaderLen:])
-		if err != nil {
-			warner.Warnf("undecodable-record", "resultstore: %s: undecodable record at offset %d: %v — skipping record (will be recomputed)", path, off, err)
-			corrupt++
-			off = end
-			continue
-		}
-		put(key, v)
-		loaded++
-		off = end
 	}
 	return loaded, corrupt, size
 }

@@ -12,6 +12,7 @@ package resultstore
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 
 	"repro/internal/cache"
 )
@@ -21,6 +22,10 @@ import (
 type Enc struct {
 	b []byte
 }
+
+// Grow makes room for n more bytes, so an encoding whose size is known
+// roughly up front is appended without reallocating.
+func (e *Enc) Grow(n int) { e.b = slices.Grow(e.b, n) }
 
 // Version appends the schema version byte; by convention the first append.
 func (e *Enc) Version(v byte) { e.b = append(e.b, v) }

@@ -5,7 +5,8 @@ package resultstore
 // including the float bit patterns %v would mangle) and the segment scanner
 // (which must absorb arbitrary on-disk bytes — crash tails, bit flips,
 // hostile garbage — without panicking, without losing intact records, and
-// without wedging the store against further writes).
+// without wedging the store against further writes, and reading exactly
+// what the one-record-at-a-time reference scan reads).
 
 import (
 	"bytes"
@@ -112,6 +113,9 @@ func FuzzDiskRecord(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, "seg-000002.psr"), tail, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		// The grouped scan reads both exactly as the serial reference does.
+		checkScanMatchesSerial(t, "segment 1", seg1)
+		checkScanMatchesSerial(t, "segment 2", tail)
 
 		var warn bytes.Buffer
 		d, err := Open[uint64](dir, u64Codec{}, WithWarnWriter(&warn))
