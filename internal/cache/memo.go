@@ -63,7 +63,8 @@ func HashBytesFrom(h uint64, p []byte) uint64 {
 // is one serial chain of multiplies per stream, so a single stream waits
 // on each multiply; four independent chains interleaved keep the
 // multiplier busy. The lanes run together over the shortest input, and
-// each lane's remainder runs alone.
+// each lane's remainder runs alone. The durable store's open scan
+// checksums four framed records per call.
 func HashBytesFrom4(h [4]uint64, p0, p1, p2, p3 []byte) [4]uint64 {
 	n := min(len(p0), len(p1), len(p2), len(p3))
 	h0, h1, h2, h3 := h[0], h[1], h[2], h[3]

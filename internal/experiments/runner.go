@@ -19,8 +19,8 @@ package experiments
 // them still passes through the store under its own per-seed key, so the
 // store sees exactly the trials it would have seen otherwise, and which
 // worker simulated first cannot change a byte of the output. Those keys
-// differ only in the seed, so a cell encodes the rest of its key once
-// (trialCell) and hashes it for four repetitions per pass.
+// differ only in the seed, which comes last, so a cell hashes the rest of
+// its key once (trialCell) and each repetition hashes only its seed.
 
 import (
 	"sync/atomic"
@@ -67,19 +67,13 @@ type trialInput struct {
 }
 
 // trialCell is what the repetitions of one cell share for the length of
-// one experiment call: the seed-free result slot (simulateOrShare), the
-// cell's key tail (appendKeyTail) and, when the call sets the cell's
-// repetition seeds before its fan-out, every repetition's key, published
-// by the first repetition that consults a store (trialCell.key).
+// one experiment call: the seed-free result slot (simulateOrShare) and the
+// FNV-1a state of its key up to the seed (trialCell.key). tailDone is set
+// once tailSum holds that state.
 type trialCell struct {
-	slot atomic.Pointer[TrialResult]
-	tail atomic.Pointer[[]byte]
-	// seeds are the cell's repetition seeds in repetition order; nil keys
-	// each repetition on its own. keys holds trialKey for each seed once
-	// published, and batching marks that a repetition is computing them.
-	seeds    []uint64
-	keys     atomic.Pointer[[]uint64]
-	batching atomic.Bool
+	slot     atomic.Pointer[TrialResult]
+	tailSum  atomic.Uint64
+	tailDone atomic.Bool
 }
 
 // runTrial is runStack behind the trial store: on a hit the simulation is

@@ -485,9 +485,6 @@ func RunScenario(cfg Config, sc Scenario) (Figure, error) {
 	results := make([]TrialResult, len(g.seeds))
 	// One trialCell per (series, cell) for the length of this call.
 	cells := make([]trialCell, len(g.wlists))
-	for c := range cells {
-		cells[c].seeds = g.seeds[c*reps : (c+1)*reps]
-	}
 	err = forEachTrial(cfg, len(results), func(tc *TrialContext, i int) error {
 		r, err := runTrial(tc, cfg, &cells[i/reps], g.input(i))
 		if err != nil {

@@ -47,6 +47,44 @@ func BenchmarkMemoHitParallel(b *testing.B) {
 	})
 }
 
+// BenchmarkStoreHitParallel is BenchmarkMemoHitParallel over the
+// disk-backed store: GOMAXPROCS goroutines hitting records that loaded
+// from a segment at open, the shape of a warm replay's workers. Those
+// reads take no lock, so they should scale at least as well as the memo's.
+func BenchmarkStoreHitParallel(b *testing.B) {
+	dir := b.TempDir()
+	st, err := OpenTrialStore(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const hotKeys = 64
+	for k := uint64(0); k < hotKeys; k++ {
+		st.Put(k, TrialResult{Metric: float64(k)})
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	warm, err := OpenTrialStore(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer warm.Close()
+	if warm.Stats().Loaded != hotKeys {
+		b.Fatal("records did not load from disk")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		k := uint64(0)
+		for pb.Next() {
+			if _, ok := warm.Get(k % hotKeys); !ok {
+				b.Fatal("miss")
+			}
+			k++
+		}
+	})
+}
+
 // BenchmarkMillionTrialReplay measures the warm-replay path of a whole
 // figure: every trial of the grid hits the memo, so one op is the full
 // runner machinery — grid derivation, seed substreams, store lookups,

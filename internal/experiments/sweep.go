@@ -171,7 +171,6 @@ func Sweep(cfg Config, spec SweepSpec) (*SweepResult, error) {
 	pending := make([]atomic.Int32, len(plan))
 	for ci := range pending {
 		pending[ci].Store(int32(reps))
-		cells[ci].seeds = plan[ci].seeds
 	}
 	err = forEachTrial(cfg, len(metrics), func(tc *TrialContext, i int) error {
 		ci, rep := i/reps, i%reps
@@ -203,17 +202,15 @@ func Sweep(cfg Config, spec SweepSpec) (*SweepResult, error) {
 }
 
 // cellPlan is one grid point of a sweep: its cell, to be aggregated, and
-// the stack, workload list and repetition seeds its trials run, resolved
-// once and shared read-only by every repetition.
+// the stack and workload list its trials run, resolved once and shared
+// read-only by every repetition.
 type cellPlan struct {
 	cell  SweepCell
 	stack platform.Stack
 	ws    []workload.Workload
-	seeds []uint64
 }
 
-// planSweep resolves a defaulted spec into its grid, platforms outermost,
-// with every repetition's seed.
+// planSweep resolves a defaulted spec into its grid, platforms outermost.
 func planSweep(cfg Config, spec SweepSpec) ([]cellPlan, error) {
 	var plan []cellPlan
 	hostCPUs := cfg.Host.NumCPUs()
@@ -253,27 +250,19 @@ func planSweep(cfg Config, spec SweepSpec) ([]cellPlan, error) {
 			}
 		}
 	}
-	seeds := make([]uint64, len(plan)*spec.Reps)
-	for ci := range plan {
-		pc := &plan[ci]
-		pc.seeds = seeds[ci*spec.Reps : (ci+1)*spec.Reps]
-		for rep := range pc.seeds {
-			// Content-derived seed: a cell draws the same substream in
-			// every sweep that contains it, which is what lets a shared
-			// memo skip it.
-			pc.seeds[rep] = seedFor(cfg.Seed, 0x53_57, // "SW": keeps sweeps decorrelated from figures
-				uint64(pc.cell.Spec.Kind), uint64(pc.cell.Spec.Mode),
-				uint64(pc.cell.Cores), uint64(pc.cell.MemGB),
-				workloadTag(pc.cell.Workload), uint64(rep))
-		}
-	}
 	return plan, nil
 }
 
 // input returns the trial input of repetition rep of the cell.
 func (pc *cellPlan) input(cfg Config, rep int) trialInput {
+	// Content-derived seed: a cell draws the same substream in every
+	// sweep that contains it, which is what lets a shared memo skip it.
+	seed := seedFor(cfg.Seed, 0x53_57, // "SW": keeps sweeps decorrelated from figures
+		uint64(pc.cell.Spec.Kind), uint64(pc.cell.Spec.Mode),
+		uint64(pc.cell.Cores), uint64(pc.cell.MemGB),
+		workloadTag(pc.cell.Workload), uint64(rep))
 	return trialInput{host: cfg.Host, stack: pc.stack,
-		size: pc.cell.Cores, ws: pc.ws, memGB: pc.cell.MemGB, seed: pc.seeds[rep]}
+		size: pc.cell.Cores, ws: pc.ws, memGB: pc.cell.MemGB, seed: seed}
 }
 
 // aggregate fills the cell's Summary and BootCI from its repetitions'

@@ -1,9 +1,9 @@
 package experiments
 
 // The durable trial key. A trial's store key fingerprints everything its
-// result depends on — seed, stack, instance size, host topology,
-// hypervisor calibration, time limit, memory, every tenant workload's
-// concrete parameters and the trial's ablations — as a canonical
+// result depends on — stack, instance size, host topology, hypervisor
+// calibration, time limit, memory, every tenant workload's concrete
+// parameters, the trial's ablations and its seed — as a canonical
 // versioned encoding: explicit field walks in declaration order,
 // fixed-width little-endian values, a schema version byte up front
 // (resultstore.Enc). Reflective %+v formatting would silently change
@@ -12,11 +12,15 @@ package experiments
 // bump trialKeySchema, at which point old durable records simply stop
 // matching and are recomputed. The pinned-literal and field-coverage
 // tests in trialkey_test.go enforce that discipline.
+//
+// The seed comes last. Everything before it, the key tail, is fixed
+// within a cell, so a cell hashes its tail once and keeps the FNV-1a
+// state (trialCell.key); each repetition then hashes only its 8 seed
+// bytes on from there.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/hypervisor"
@@ -27,20 +31,21 @@ import (
 // trialKeySchema versions the whole key encoding. Bump it whenever the
 // field walk below changes shape or meaning — including any field added to
 // hypervisor.Params or a workload driver struct.
-const trialKeySchema = 1
+const trialKeySchema = 2
 
-// trialKey returns the durable store key of one trial.
+// trialKey returns the durable store key of one trial: the hash of the
+// version byte, the key tail and the seed.
 func trialKey(cfg Config, in trialInput) uint64 {
 	var e resultstore.Enc
 	e.Version(trialKeySchema)
-	e.U64(in.seed)
 	appendKeyTail(&e, cfg, in)
+	e.U64(in.seed)
 	return e.Sum64()
 }
 
-// appendKeyTail appends everything of the key after the seed: all of it is
-// fixed within a cell, so the repetitions of one cell share these bytes
-// (trialCell.key) and only the version byte and the seed are theirs.
+// appendKeyTail appends everything of the key between the version byte
+// and the seed: all of it is fixed within a cell, so the repetitions of
+// one cell share it (trialCell.key).
 func appendKeyTail(e *resultstore.Enc, cfg Config, in trialInput) {
 	e.Str(in.stack.Fingerprint())
 	e.Int(in.size)
@@ -52,15 +57,7 @@ func appendKeyTail(e *resultstore.Enc, cfg Config, in trialInput) {
 	for _, w := range in.ws {
 		appendWorkloadKey(e, w)
 	}
-	// Ablations are appended only when present: every unablated key stays
-	// byte-for-byte what it was before ablations were keyed, so existing
-	// durable stores keep hitting without a trialKeySchema bump. The
-	// encoding stays unambiguous because the workload walk above is
-	// self-delimiting (its count comes first).
-	if in.ablate != 0 {
-		e.Str("ablate")
-		e.U64(uint64(in.ablate))
-	}
+	e.U64(uint64(in.ablate))
 }
 
 // keyTailCap pre-sizes the key-tail encoder: the tails of the registered
@@ -68,75 +65,24 @@ func appendKeyTail(e *resultstore.Enc, cfg Config, in trialInput) {
 // any of them instead of a chain of doublings.
 const keyTailCap = 512
 
-// key returns trialKey(cfg, in) for one repetition of the cell. A cell
-// with seeds keys all its repetitions at once: the first repetition to
-// need a key hashes every repetition's head into the shared tail, four
-// streams per pass (publishKeys), and the others look theirs up. A
-// repetition that arrives while that is under way does not wait; it
-// hashes its version byte and seed and continues over the shared tail, as
-// a cell without seeds does for every repetition. The tail is encoded by
-// whichever repetition first finds it missing and published; two
-// repetitions racing to do so encode equal bytes. A warm key allocates
-// nothing once the cell's keys or tail are published.
+// key returns trialKey(cfg, in) for one repetition of the cell: it hashes
+// the repetition's seed on from the cell's tail state. The first
+// repetition to find no tail state published encodes the version byte and
+// the tail, hashes them and publishes the state; repetitions racing to do
+// so publish equal states, and none waits for another. A warm key
+// allocates nothing once the state is published.
 func (c *trialCell) key(cfg Config, in trialInput) uint64 {
-	keys := c.keys.Load()
-	if keys == nil && c.seeds != nil && c.batching.CompareAndSwap(false, true) {
-		keys = c.publishKeys(cfg, in)
+	if !c.tailDone.Load() {
+		var e resultstore.Enc
+		e.Grow(keyTailCap)
+		e.Version(trialKeySchema)
+		appendKeyTail(&e, cfg, in)
+		c.tailSum.Store(e.Sum64())
+		c.tailDone.Store(true)
 	}
-	if keys != nil {
-		if j := slices.Index(c.seeds, in.seed); j >= 0 {
-			return (*keys)[j]
-		}
-	}
-	return cache.HashBytesFrom(keyHead(in.seed), *c.keyTail(cfg, in))
-}
-
-// keyTail returns the cell's published key tail, encoding and publishing
-// it first when no repetition has.
-func (c *trialCell) keyTail(cfg Config, in trialInput) *[]byte {
-	if tail := c.tail.Load(); tail != nil {
-		return tail
-	}
-	var e resultstore.Enc
-	e.Grow(keyTailCap)
-	appendKeyTail(&e, cfg, in)
-	b := e.Bytes()
-	c.tail.CompareAndSwap(nil, &b)
-	return &b
-}
-
-// publishKeys computes the key of every repetition seed of the cell,
-// hashing the tail for up to four seeds per pass of cache.HashBytesFrom4,
-// and publishes them in seed order.
-func (c *trialCell) publishKeys(cfg Config, in trialInput) *[]uint64 {
-	tail := *c.keyTail(cfg, in)
-	keys := make([]uint64, len(c.seeds))
-	for j := 0; j < len(keys); j += 4 {
-		seeds := c.seeds[j:min(j+4, len(keys))]
-		if len(seeds) == 1 {
-			keys[j] = cache.HashBytesFrom(keyHead(seeds[0]), tail)
-			continue
-		}
-		// Lanes past the last seed hash the tail too: four streams take
-		// about the time of two, so two or three seeds still gain.
-		var h [4]uint64
-		for l, s := range seeds {
-			h[l] = keyHead(s)
-		}
-		out := cache.HashBytesFrom4(h, tail, tail, tail, tail)
-		copy(keys[j:], out[:len(seeds)])
-	}
-	c.keys.Store(&keys)
-	return &keys
-}
-
-// keyHead is the FNV-1a state of a trial key after its version byte and
-// seed, the part of the key that is a repetition's own.
-func keyHead(seed uint64) uint64 {
-	var head [9]byte
-	head[0] = trialKeySchema
-	binary.LittleEndian.PutUint64(head[1:], seed)
-	return cache.HashBytes(head[:])
+	var seed [8]byte
+	binary.LittleEndian.PutUint64(seed[:], in.seed)
+	return cache.HashBytesFrom(c.tailSum.Load(), seed[:])
 }
 
 // appendHVKey walks hypervisor.Params in declaration order.

@@ -29,7 +29,7 @@ func TestTrialKeyPinnedLiteral(t *testing.T) {
 	stack := platform.Spec{Kind: platform.CN, Mode: platform.Pinned, Cores: 4}.Stack()
 	w := workload.DefaultTranscode()
 	got := trialKey(cfg, trialInput{cfg.Host, stack, 4, []workload.Workload{w}, 16, 7, 0})
-	const want = uint64(0x9f368ed2b23a1d51)
+	const want = uint64(0x5b5d2d8f068e9dac)
 	if got != want {
 		t.Fatalf("trialKey = %#016x, want %#016x — the durable key encoding changed; bump trialKeySchema if intentional", got, want)
 	}
@@ -39,20 +39,19 @@ func TestTrialKeyPinnedLiteral(t *testing.T) {
 	nos := workload.DefaultNoSQL()
 	vm := platform.Spec{Kind: platform.VMCN, Mode: platform.Vanilla, Cores: 8}.Stack()
 	got2 := trialKey(cfg, trialInput{cfg.Host, vm, 8, []workload.Workload{nos}, 32, 9, 0})
-	const want2 = uint64(0x541a453fbcf9355a)
+	const want2 = uint64(0x66969dd357ea1c73)
 	if got2 != want2 {
 		t.Fatalf("trialKey(nosql) = %#016x, want %#016x — the durable key encoding changed; bump trialKeySchema if intentional", got2, want2)
 	}
 
-	// Each host ablation bit keys as it did when ablations were a run-wide
-	// setting rather than series data, so stores of ablated runs keep
-	// hitting.
+	// Each host ablation bit has its own pinned key, so a change to how
+	// ablations are keyed fails here too.
 	for a, want := range map[machine.Ablation]uint64{
-		machine.AblateAcctWalk:        0xf9b71525bc25343d,
-		machine.AblateNUMA:            0x18b1dc2ec7147e5e,
-		machine.AblateIRQDistance:     0x5ed131f88578c198,
-		machine.AblateChurnWorkingSet: 0xe2e615d459bb9914,
-		machine.AblateCacheLocality:   0xeb0fdd8c0241480c,
+		machine.AblateAcctWalk:        0x4a54a5d9095819ad,
+		machine.AblateNUMA:            0x394c1e230c2195ae,
+		machine.AblateIRQDistance:     0x9f7f4c66fb68ada8,
+		machine.AblateChurnWorkingSet: 0xe36c7f4e6de5dba4,
+		machine.AblateCacheLocality:   0x4b3e8a1037e021bc,
 	} {
 		if got := trialKey(cfg, trialInput{cfg.Host, stack, 4, []workload.Workload{w}, 16, 7, a}); got != want {
 			t.Errorf("trialKey(ablate %#x) = %#016x, want %#016x — the ablated key encoding changed", a, got, want)
@@ -218,8 +217,8 @@ func TestCellKeysMatchTrialKey(t *testing.T) {
 		}
 	}
 
-	// The benchmark's sweep grid, and sweeps whose repetition counts leave
-	// one, three and one again of four hash lanes in a cell's last pass.
+	// The benchmark's sweep grid, and sweeps of one, three and five
+	// repetitions per cell.
 	for _, reps := range []int{50, 1, 3, 5} {
 		rec := new(keyRecorder)
 		cfg := Config{Seed: 42, Quick: true, Memo: rec}.withDefaults()
@@ -244,34 +243,8 @@ func TestCellKeysMatchTrialKey(t *testing.T) {
 	}
 }
 
-// TestCellKeyWithoutBatch: a repetition that finds its cell's keys being
-// computed by another, or whose seed is not among the cell's seeds, keys
-// itself from the tail, and gets trialKey either way.
-func TestCellKeyWithoutBatch(t *testing.T) {
-	cfg := Config{Seed: 42}.withDefaults()
-	stack := platform.Spec{Kind: platform.CN, Mode: platform.Pinned, Cores: 4}.Stack()
-	in := trialInput{cfg.Host, stack, 4, []workload.Workload{workload.DefaultTranscode()}, 16, 7, 0}
-	busy := &trialCell{seeds: []uint64{5, 6, 7}}
-	busy.batching.Store(true)
-	if got, want := busy.key(cfg, in), trialKey(cfg, in); got != want || busy.keys.Load() != nil {
-		t.Fatalf("key during another repetition's batch = %#x (keys published: %v), want %#x without publishing",
-			got, busy.keys.Load() != nil, want)
-	}
-	other := &trialCell{seeds: []uint64{1, 2, 3, 4, 5}}
-	if got, want := other.key(cfg, in), trialKey(cfg, in); got != want {
-		t.Fatalf("key of a seed outside the cell = %#x, want %#x", got, want)
-	}
-	for j, s := range other.seeds {
-		alt := in
-		alt.seed = s
-		if got, want := (*other.keys.Load())[j], trialKey(cfg, alt); got != want {
-			t.Fatalf("published key %d = %#x, want %#x", j, got, want)
-		}
-	}
-}
-
 // TestWarmHitKeyAllocFree: a warm hit builds its key from the cell's
-// shared tail without allocating, and a warm runTrial with a worker's
+// tail state without allocating, and a warm runTrial with a worker's
 // context hands the store the context's bound miss callback, so it
 // allocates nothing either.
 func TestWarmHitKeyAllocFree(t *testing.T) {
@@ -296,15 +269,15 @@ func TestWarmHitKeyAllocFree(t *testing.T) {
 }
 
 // TestCellKeyConcurrent: repetitions keying one cell at the same time, so
-// that some find its keys being computed and key themselves, all get
-// trialKey. Run it under -race.
+// that several find no tail state published and hash the tail themselves,
+// all get trialKey. Run it under -race.
 func TestCellKeyConcurrent(t *testing.T) {
 	cfg := Config{Seed: 42}.withDefaults()
 	stack := platform.Spec{Kind: platform.VM, Mode: platform.Vanilla, Cores: 8}.Stack()
 	in := trialInput{cfg.Host, stack, 8, []workload.Workload{workload.DefaultNoSQL()}, 32, 0, 0}
 	seeds := []uint64{11, 12, 13, 14, 15, 16, 17}
 	for round := 0; round < 20; round++ {
-		cell := &trialCell{seeds: seeds}
+		cell := new(trialCell)
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)

@@ -3,9 +3,12 @@ package resultstore
 // The on-disk tier. A store directory holds append-only segment files
 // (seg-NNNNNN.psr); each writer — processes, or multiple stores opened on
 // one directory inside one process — opens its own fresh segment with
-// O_EXCL, so concurrent writers never interleave bytes. The index is the
-// in-memory tier itself, rebuilt at open by scanning every segment; there
-// is no separate index file to go stale or corrupt.
+// O_EXCL, so concurrent writers never interleave bytes. The index is
+// rebuilt at open by scanning every segment; there is no separate index
+// file to go stale or corrupt. It has two tiers: the loaded tier, a plain
+// map the open scan fills once and nothing writes afterwards, so warm hits
+// read it without a lock; and this process's own writes, in a sharded
+// cache.Memo. A key lives in at most one of them.
 //
 // Segment layout:
 //
@@ -50,6 +53,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
@@ -165,15 +169,23 @@ func WithDegradedFallback(allow bool) Option {
 	return func(o *options) { o.degradedOK = allow }
 }
 
-// Disk is the durable Store tier: an in-memory index/cache over append-only
-// segment files. Get is a pure memory-tier lookup (the open scan loads
-// every intact record), Put appends one record to this process's segment.
+// Disk is the durable Store tier: an in-memory index over append-only
+// segment files. Get is a pure memory lookup: first in the loaded tier,
+// every intact record the open scan found, read without a lock; then in
+// the memo of records this process put. Put appends one record to this
+// process's segment and indexes it in the memo.
 type Disk[V any] struct {
-	dir    string
-	codec  Codec[V]
-	memo   *cache.Memo[V]
-	warner *Warner
-	fs     FS
+	dir   string
+	codec Codec[V]
+	// base is the loaded tier. Open writes it and nothing writes it after
+	// Open returns, so any number of goroutines read it without a lock;
+	// baseHits counts its hits, striped by key over padded cache lines so
+	// that concurrent readers rarely write the same line.
+	base     map[uint64]V
+	baseHits [hitStripes]hitStripe
+	memo     *cache.Memo[V]
+	warner   *Warner
+	fs       FS
 
 	syncEvery int
 	sleep     func(time.Duration)
@@ -196,11 +208,24 @@ type Disk[V any] struct {
 	diskBytes   int64
 }
 
+// hitStripes is how many counters the loaded tier's hits are spread over.
+const hitStripes = 64
+
+// hitStripe is one hit counter with a cache line of padding on either
+// side, so it shares a line with no other counter and with none of the
+// Disk fields around the stripes (the loaded tier's map is one of them).
+type hitStripe struct {
+	_ [64]byte
+	n atomic.Uint64
+	_ [56]byte
+}
+
 // Open opens (creating if needed) the store directory at dir, proves it is
-// writable, scans every segment into the in-memory index, and returns the
-// store. Corrupt or undecodable records are skipped with a warning and
-// will simply be recomputed and re-appended by the run. An unusable
-// directory fails fast with a clear error — or, with
+// writable, scans every segment into the loaded tier, and returns the
+// store. The segments are read first, so the loaded tier is sized once
+// from their framed record count. Corrupt or undecodable records are
+// skipped with a warning and will simply be recomputed and re-appended by
+// the run. An unusable directory fails fast with a clear error — or, with
 // WithDegradedFallback(true), yields a degraded in-memory store instead.
 func Open[V any](dir string, codec Codec[V], opts ...Option) (*Disk[V], error) {
 	o := defaultOptions()
@@ -247,11 +272,24 @@ func Open[V any](dir string, codec Codec[V], opts ...Option) (*Disk[V], error) {
 		}
 		return d, nil
 	}
-	for _, s := range segs {
+	type read struct {
+		data []byte
+		err  error
+	}
+	reads := make([]read, len(segs))
+	records := 0
+	for i, s := range segs {
 		if s.n >= d.nextSeg {
 			d.nextSeg = s.n + 1
 		}
-		loaded, corrupt, bytes := scanSegmentFile(d.retryReadFile, s.path, d.codec, d.warner, d.memo.Put)
+		reads[i].data, reads[i].err = d.retryReadFile(s.path)
+		records += framedRecords(reads[i].data)
+	}
+	d.base = make(map[uint64]V, records)
+	put := func(key uint64, v V) { d.base[key] = v }
+	for i, s := range segs {
+		r := reads[i]
+		loaded, corrupt, bytes := scanSegmentFile(func(string) ([]byte, error) { return r.data, r.err }, s.path, d.codec, d.warner, put)
 		d.loaded += loaded
 		d.corrupt += corrupt
 		d.diskBytes += bytes
@@ -325,12 +363,27 @@ func (d *Disk[V]) retryReadFile(path string) ([]byte, error) {
 // Dir returns the store's directory.
 func (d *Disk[V]) Dir() string { return d.dir }
 
-// Get implements Store: a memory-tier lookup (every intact durable record
-// was loaded at open).
-func (d *Disk[V]) Get(key uint64) (V, bool) { return d.memo.Get(key) }
+// Get implements Store: a memory lookup (every intact durable record was
+// loaded at open). A loaded record is one lock-free map read and one
+// striped hit count; any other key goes to the memo of this process's
+// writes, which counts the hit or the miss.
+func (d *Disk[V]) Get(key uint64) (V, bool) {
+	if v, ok := d.base[key]; ok {
+		d.baseHits[key%hitStripes].n.Add(1)
+		return v, true
+	}
+	return d.memo.Get(key)
+}
+
+// has reports whether either tier holds key, counting nothing — the
+// append dedup of Put and PutBatch.
+func (d *Disk[V]) has(key uint64) bool {
+	_, ok := d.base[key]
+	return ok || d.memo.Contains(key)
+}
 
 // Put implements Store: index the value and append one durable record —
-// PutBatch with a single record. Re-puts of a resident key are dropped
+// PutBatch with a single record. Re-puts of a key in either tier are dropped
 // (values are deterministic, so the record on disk is already correct) —
 // merges and racing workers cannot bloat the store. An append that fails
 // after exhausting retries demotes the store to its in-memory tier: the
@@ -339,7 +392,7 @@ func (d *Disk[V]) Get(key uint64) (V, bool) { return d.memo.Get(key) }
 func (d *Disk[V]) Put(key uint64, v V) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.memo.Contains(key) {
+	if d.has(key) {
 		return
 	}
 	d.memo.Put(key, v)
@@ -367,7 +420,7 @@ func (d *Disk[V]) PutBatch(keys []uint64, vals []V) {
 	buf, n := d.recBuf[:0], 0
 	var err error
 	for i, key := range keys {
-		if d.memo.Contains(key) {
+		if d.has(key) {
 			continue
 		}
 		d.memo.Put(key, vals[i])
@@ -379,13 +432,13 @@ func (d *Disk[V]) PutBatch(keys []uint64, vals []V) {
 	d.commitLocked(buf, n, err)
 }
 
-// GetOrCompute implements Store: a warm hit is one sharded memo read with
-// no disk I/O and no store lock; a miss runs compute outside d.mu (an
-// append must never stall behind a simulation) and persists the value via
-// Put, whose Contains dedup keeps racing cold computations of one key from
-// writing duplicate records.
+// GetOrCompute implements Store: a warm hit is one Get, with no disk I/O
+// and no store lock; a miss runs compute outside d.mu (an append must
+// never stall behind a simulation) and persists the value via Put, whose
+// dedup keeps racing cold computations of one key from writing duplicate
+// records.
 func (d *Disk[V]) GetOrCompute(key uint64, compute func() (V, error)) (V, error) {
-	if v, ok := d.memo.Get(key); ok {
+	if v, ok := d.Get(key); ok {
 		return v, nil
 	}
 	v, err := compute()
@@ -581,11 +634,14 @@ func (d *Disk[V]) Sync() error {
 	return err
 }
 
-// Stats implements Store.
+// Stats implements Store. Hits and Entries sum both tiers.
 func (d *Disk[V]) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	s := Stats{Hits: d.memo.Hits(), Misses: d.memo.Misses(), Entries: d.memo.Len()}
+	s := Stats{Hits: d.memo.Hits(), Misses: d.memo.Misses(), Entries: len(d.base) + d.memo.Len()}
+	for i := range d.baseHits {
+		s.Hits += d.baseHits[i].n.Load()
+	}
 	s.Loaded = d.loaded
 	s.Appended = d.appended
 	s.Corrupt = d.corrupt
@@ -721,6 +777,45 @@ func segmentNumber(name string) (int, bool) {
 	return n, true
 }
 
+// framedRecords counts the records of a segment's bytes the way the open
+// scan frames them, stopping at a torn tail; a segment without the magic
+// frames none. It reads only length fields, so it sizes the loaded tier
+// without checksumming or decoding anything.
+func framedRecords(data []byte) int {
+	if !hasMagic(data) {
+		return 0
+	}
+	n := 0
+	for off := len(segMagic); off < len(data); n++ {
+		end, torn := frameEnd(data, off)
+		if torn != "" {
+			break
+		}
+		off = end
+	}
+	return n
+}
+
+// hasMagic reports whether data starts with the segment magic.
+func hasMagic(data []byte) bool {
+	return len(data) >= len(segMagic) && string(data[:len(segMagic)]) == segMagic
+}
+
+// frameEnd frames the record at off from its length field alone: it
+// returns the offset just past the record's checksum, or why the segment
+// is torn at off.
+func frameEnd(data []byte, off int) (end int, torn string) {
+	if len(data)-off < recHeaderLen+recSumLen {
+		return 0, "torn record"
+	}
+	payloadLen := int(binary.LittleEndian.Uint32(data[off+8:]))
+	end = off + recHeaderLen + payloadLen + recSumLen
+	if payloadLen > MaxPayload || end > len(data) {
+		return 0, "torn or corrupt record"
+	}
+	return end, ""
+}
+
 // sumRecord checksums a record's key+len+payload bytes.
 func sumRecord(rec []byte) uint64 {
 	return cache.HashBytes(rec)
@@ -748,7 +843,7 @@ func scanSegmentFile[V any](read func(string) ([]byte, error), path string, code
 		return 0, 1, 0
 	}
 	size = int64(len(data))
-	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
+	if !hasMagic(data) {
 		warner.Warnf("bad-segment-header", "resultstore: %s: bad segment header — skipping segment (its results will be recomputed)", path)
 		return 0, 1, size
 	}
@@ -761,14 +856,8 @@ func scanSegmentFile[V any](read func(string) ([]byte, error), path string, code
 		var bodies [scanGroup][]byte
 		n, torn := 0, ""
 		for n < scanGroup && off < len(data) {
-			if len(data)-off < recHeaderLen+recSumLen {
-				torn = "torn record"
-				break
-			}
-			payloadLen := int(binary.LittleEndian.Uint32(data[off+8:]))
-			end := off + recHeaderLen + payloadLen + recSumLen
-			if payloadLen > MaxPayload || end > len(data) {
-				torn = "torn or corrupt record"
+			var end int
+			if end, torn = frameEnd(data, off); torn != "" {
 				break
 			}
 			starts[n], bodies[n] = off, data[off:end-recSumLen]

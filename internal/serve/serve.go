@@ -18,6 +18,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -46,6 +47,11 @@ const maxRunBody = 1 << 20
 
 // errOverloaded is the admission rejection; the handler maps it to 429.
 var errOverloaded = errors.New("serve: simulation capacity saturated")
+
+// errLeaderGone is what a singleflight leader returns when its request
+// ends while it waits for a simulation slot. Followers coalesced on it
+// retry; the leader's own client is gone.
+var errLeaderGone = errors.New("serve: request ended while queued for a simulation slot")
 
 // badRequestError marks failures caused by the request itself (unknown
 // scenario, invalid spec); the handler maps them to 400.
@@ -165,18 +171,29 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeBody(w, "warm", body)
 		return
 	}
-	body, shared, err := s.sf.Do(key, func() ([]byte, error) {
-		if !s.admit() {
-			return nil, errOverloaded
+	ctx := r.Context()
+	lead := func() ([]byte, error) {
+		if err := s.admit(ctx); err != nil {
+			return nil, err
 		}
 		defer s.release()
 		return s.compute(req, key)
-	})
+	}
+	body, shared, err := s.sf.Do(key, lead)
+	// A follower whose leader's request ended in the queue asks again
+	// while its own client is still there: it becomes the leader or
+	// coalesces on a newer one.
+	for shared && errors.Is(err, errLeaderGone) && ctx.Err() == nil {
+		body, shared, err = s.sf.Do(key, lead)
+	}
 	switch {
 	case errors.Is(err, errOverloaded):
 		s.shed.Add(1)
 		w.Header().Set("Retry-After", s.retryAfter)
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
+	case errors.Is(err, errLeaderGone):
+		// This request's own client is gone; nobody reads the reply.
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	case err != nil:
 		var bad badRequestError
 		if errors.As(err, &bad) {
@@ -203,16 +220,23 @@ func writeBody(w http.ResponseWriter, source string, body []byte) {
 	w.Write(body)
 }
 
-// admit claims a simulation slot, queueing at most maxQueue waiters; a
-// false return means the caller must shed. Only singleflight leaders call
-// this, so the semaphore bounds simulations, not requests.
-func (s *Server) admit() bool {
+// admit claims a simulation slot, queueing at most maxQueue waiters.
+// errOverloaded means the caller must shed. A waiter whose request ends
+// before a slot frees leaves the queue, gives its place back and returns
+// errLeaderGone, which is not a shed. Only singleflight leaders call this,
+// so the semaphore bounds simulations, not requests.
+func (s *Server) admit(ctx context.Context) error {
 	if n := s.queued.Add(1); n > int64(s.maxInflight+s.maxQueue) {
 		s.queued.Add(-1)
-		return false
+		return errOverloaded
 	}
-	s.sem <- struct{}{}
-	return true
+	select {
+	case s.sem <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		s.queued.Add(-1)
+		return errLeaderGone
+	}
 }
 
 func (s *Server) release() {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -240,6 +241,92 @@ func TestBackpressure(t *testing.T) {
 	// Capacity is free again: the shed key now simulates.
 	if w := post(t, s, `{"name":"fig5"}`); w.Code != http.StatusOK {
 		t.Fatalf("after release: %d %s", w.Code, w.Body.String())
+	}
+}
+
+// TestCancelledQueuedLeader: a singleflight leader whose request ends
+// while it waits for a simulation slot leaves the queue and gives its
+// place back without counting as shed, so a later cold request is
+// admitted; and a follower coalesced on such a leader asks again and gets
+// its figure.
+func TestCancelledQueuedLeader(t *testing.T) {
+	s := newTestServer(t, Options{MaxInflight: 1, MaxQueue: 1})
+	// A fig4 run holds the only slot until the test closes its gate.
+	gates := make(chan chan struct{})
+	realRun := s.run
+	s.run = func(cfg experiments.Config, sc experiments.Scenario) (experiments.Figure, error) {
+		if sc.Name == "fig4" {
+			gate := make(chan struct{})
+			gates <- gate
+			<-gate
+		}
+		return realRun(cfg, sc)
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	postAsync := func(ctx context.Context, body string, code *int, source *string) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(body)).WithContext(ctx))
+			*code, *source = w.Code, w.Header().Get(SourceHeader)
+		}()
+	}
+	// holdSlot starts a cold fig4 request and returns once it holds the
+	// slot, with the gate that releases it.
+	holdSlot := func(body string, code *int) chan struct{} {
+		var source string
+		postAsync(context.Background(), body, code, &source)
+		return <-gates
+	}
+
+	// A queued leader's request ends: its place frees for a later request.
+	var holdCode, leaderCode, laterCode int
+	var leaderSrc, laterSrc string
+	gate := holdSlot(`{"name":"fig4"}`, &holdCode)
+	ctx, cancel := context.WithCancel(context.Background())
+	postAsync(ctx, `{"name":"fig5"}`, &leaderCode, &leaderSrc)
+	waitFor("the leader to queue", func() bool { return s.queued.Load() == 2 })
+	cancel()
+	waitFor("the leader to leave the queue", func() bool { return s.queued.Load() == 1 })
+	postAsync(context.Background(), `{"name":"fig6"}`, &laterCode, &laterSrc)
+	waitFor("the later request to queue", func() bool { return s.queued.Load() == 2 })
+	close(gate)
+	wg.Wait()
+	if holdCode != http.StatusOK || laterCode != http.StatusOK || laterSrc != "simulated" {
+		t.Fatalf("slot holder %d, later request %d %q; want 200 and a simulated 200", holdCode, laterCode, laterSrc)
+	}
+	if leaderCode == http.StatusOK || leaderCode == http.StatusTooManyRequests {
+		t.Fatalf("cancelled leader answered %d, want neither a figure nor a shed", leaderCode)
+	}
+
+	// A follower coalesced on a leader whose request ends still gets 200.
+	var followerCode int
+	var followerSrc string
+	gate = holdSlot(`{"name":"fig4","seed":7}`, &holdCode)
+	ctx, cancel = context.WithCancel(context.Background())
+	postAsync(ctx, `{"name":"fig7"}`, &leaderCode, &leaderSrc)
+	waitFor("the leader to queue", func() bool { return s.queued.Load() == 2 })
+	coalesced := s.sf.Coalesced()
+	postAsync(context.Background(), `{"name":"fig7"}`, &followerCode, &followerSrc)
+	waitFor("the follower to coalesce", func() bool { return s.sf.Coalesced() > coalesced })
+	cancel()
+	waitFor("the follower to lead and queue again", func() bool { return s.sf.Leads() == 6 && s.queued.Load() == 2 })
+	close(gate)
+	wg.Wait()
+	if followerCode != http.StatusOK || followerSrc != "simulated" {
+		t.Fatalf("follower of a cancelled leader: %d %q, want a simulated 200", followerCode, followerSrc)
+	}
+	if shed := s.shed.Load(); shed != 0 {
+		t.Fatalf("shed = %d, want 0 (a cancelled waiter is not a shed)", shed)
 	}
 }
 
