@@ -209,7 +209,9 @@ func (p Pool) Execute(n int, run func(tc *TrialContext, i int) error, progress f
 // same grid cover every trial exactly once regardless of machine or
 // timing. Pair it with a durable store — each shard persists its
 // partition, and a later merge run assembles the identical figure with
-// zero recomputation.
+// zero recomputation. An experiment's indices are its claim order
+// (forEachCellTrial: every cell's repetition 0 first), so when Count
+// divides a grid's cell count each shard owns whole cells.
 type Shard struct {
 	// Index identifies this shard, 0 ≤ Index < Count.
 	Index, Count int

@@ -91,16 +91,16 @@ func RunCHRSweep(cfg Config) ([]CHRBand, error) {
 			kinds := []platform.Kind{platform.CN, platform.BM}
 			results := make([]TrialResult, len(kinds)*reps)
 			cells := make([]trialCell, len(kinds)) // this step only
-			err := forEachTrial(cfg, len(results), func(tc *TrialContext, i int) error {
-				kind, rep := kinds[i/reps], i%reps
+			err := forEachCellTrial(cfg, len(kinds), reps, func(tc *TrialContext, ki, rep int) error {
+				kind := kinds[ki]
 				seed := seedFor(cfg.Seed, 40, uint64(ai), uint64(ii), uint64(kind), uint64(rep))
 				spec := platform.Spec{Kind: kind, Mode: platform.Vanilla, Cores: it.Cores}
-				r, err := runTrial(tc, cfg, &cells[i/reps], trialInput{host: cfg.Host, stack: spec.Stack(),
+				r, err := runTrial(tc, cfg, &cells[ki], trialInput{host: cfg.Host, stack: spec.Stack(),
 					size: it.Cores, ws: []workload.Workload{a.mk(it)}, memGB: it.MemGB, seed: seed})
 				if err != nil {
 					return err
 				}
-				results[i] = r
+				results[ki*reps+rep] = r
 				return nil
 			})
 			if err != nil {

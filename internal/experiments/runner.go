@@ -15,7 +15,10 @@ package experiments
 // trial whose run drew no random number is a pure function of everything
 // but its seed, so every repetition of its cell has the same result. The
 // first such repetition to finish publishes it, and the cell's later
-// repetitions return it instead of simulating (simulateOrShare). Each of
+// repetitions return it instead of simulating (simulateOrShare). The
+// sharing relies on every cell's repetition 0 being claimed before any
+// later repetition (forEachCellTrial); a repetition claimed while its
+// cell's first run is still going simulates too. Each of
 // them still passes through the store under its own per-seed key, so the
 // store sees exactly the trials it would have seen otherwise, and which
 // worker simulated first cannot change a byte of the output. Those keys
@@ -50,6 +53,22 @@ func forEachTrial(cfg Config, n int, run func(tc *TrialContext, i int) error) er
 		ex = Pool{}
 	}
 	return ex.Execute(n, run, cfg.Progress)
+}
+
+// forEachCellTrial runs the nCells × reps trials of a grid through
+// forEachTrial, claiming every cell's repetition 0 before any repetition
+// ≥ 1: claim j runs cell j mod nCells, repetition j div nCells. A seed-free
+// cell's repetition 0 has then started, usually finished, before another
+// worker claims its repetition 1, so the later repetition shares its
+// result instead of simulating beside it. Callers keep their results
+// index-addressed by (cell, rep), so the claim order changes no output.
+// forEachTrial's lowest-index error is the lowest claim index here: a
+// grid with several failing trials reports the first failing cell in
+// repetition-major order.
+func forEachCellTrial(cfg Config, nCells, reps int, run func(tc *TrialContext, cell, rep int) error) error {
+	return forEachTrial(cfg, nCells*reps, func(tc *TrialContext, j int) error {
+		return run(tc, j%nCells, j/nCells)
+	})
 }
 
 // trialInput is one trial's inputs besides the run-wide Config: the host it

@@ -485,10 +485,11 @@ func RunScenario(cfg Config, sc Scenario) (Figure, error) {
 	results := make([]TrialResult, len(g.seeds))
 	// One trialCell per (series, cell) for the length of this call.
 	cells := make([]trialCell, len(g.wlists))
-	err = forEachTrial(cfg, len(results), func(tc *TrialContext, i int) error {
-		r, err := runTrial(tc, cfg, &cells[i/reps], g.input(i))
+	err = forEachCellTrial(cfg, len(cells), reps, func(tc *TrialContext, cell, rep int) error {
+		i := cell*reps + rep
+		r, err := runTrial(tc, cfg, &cells[cell], g.input(i))
 		if err != nil {
-			si, ci := i/(nC*reps), i/reps%nC
+			si, ci := cell/nC, cell%nC
 			return fmt.Errorf("%s %s %s: %w", sc.Name, sc.Series[si].Label, sc.Cells[ci].Label, err)
 		}
 		results[i] = r

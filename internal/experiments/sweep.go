@@ -172,8 +172,8 @@ func Sweep(cfg Config, spec SweepSpec) (*SweepResult, error) {
 	for ci := range pending {
 		pending[ci].Store(int32(reps))
 	}
-	err = forEachTrial(cfg, len(metrics), func(tc *TrialContext, i int) error {
-		ci, rep := i/reps, i%reps
+	err = forEachCellTrial(cfg, len(plan), reps, func(tc *TrialContext, ci, rep int) error {
+		i := ci*reps + rep
 		pc := &plan[ci]
 		r, err := runTrial(tc, cfg, &cells[ci], pc.input(cfg, rep))
 		if err != nil {

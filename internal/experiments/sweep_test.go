@@ -105,9 +105,11 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal("warm-memo rerun differs from Workers:1")
 	}
 
-	// Two shard runs persist disjoint halves; no cell has all its
-	// repetitions in one shard, so neither aggregates any. The merge run
-	// aggregates every cell from the merged stores.
+	// Two shard runs persist disjoint halves of the claim order. A shard
+	// aggregates a cell only when it ran every repetition of it, and then
+	// exactly as the serial run did; a cell it ran part of stays
+	// unaggregated. The merge run aggregates every cell from the merged
+	// stores.
 	dirs := []string{t.TempDir(), t.TempDir()}
 	for idx, dir := range dirs {
 		st, err := OpenTrialStore(dir)
@@ -119,9 +121,13 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shard %d: %v", idx, err)
 		}
-		for _, c := range part.Cells {
-			if c.Summary.N != 0 {
-				t.Fatalf("shard %d aggregated %s/%s/%d from half its repetitions", idx, c.Platform, c.Workload, c.Cores)
+		for ci, c := range part.Cells {
+			if c.Summary.N == 0 {
+				continue
+			}
+			want := serial.Cells[ci]
+			if c.Summary != want.Summary || c.BootCI != want.BootCI || c.Breakdown != want.Breakdown {
+				t.Fatalf("shard %d aggregated %s/%s/%d unlike the serial run", idx, c.Platform, c.Workload, c.Cores)
 			}
 		}
 		if err := st.Close(); err != nil {

@@ -106,6 +106,115 @@ func TestDirectDispatchGuard(t *testing.T) {
 	}
 }
 
+// TestLoneRestartGuard checks endSlice's shortcut for a preempted task
+// with work left on a CPU with nothing queued: it starts the next slice at
+// once, stamping no rqSeq, leaving the queued-CPU mask and the load as
+// they were, and emitting run-end then run-start on the same CPU. A CPU
+// whose queue holds only a throttled group's task, which its load does
+// not count, must take the enqueue path, and so must a task whose slice
+// charge throttles its group; that charge still runs throttleGroup.
+func TestLoneRestartGuard(t *testing.T) {
+	sr := newStealRig(t)
+	s, eng := sr.r.s, sr.r.eng
+	var evs []TraceEvent
+	s.cfg.Trace = func(ev TraceEvent) { evs = append(evs, ev) }
+	// sliceEnd fires the next event, which must be c's slice end.
+	sliceEnd := func(c *cpuRun) {
+		t.Helper()
+		end := c.sliceEndAt
+		evs = evs[:0]
+		if !eng.Step() || eng.Now() != end {
+			t.Fatalf("next event at %v, want cpu %d's slice end at %v", eng.Now(), c.id, end)
+		}
+	}
+	restarted := func(name string, c *cpuRun, tk *Task) {
+		t.Helper()
+		if c.current != tk || tk.state != stateRunning || tk.rqCPU != -1 {
+			t.Fatalf("%s: cpu %d runs %v, task state %v rqCPU %d", name, c.id, c.current, tk.state, tk.rqCPU)
+		}
+		if len(evs) != 2 || evs[0].Kind != TraceRunEnd || evs[1].Kind != TraceRunStart ||
+			evs[0].Task != tk || evs[1].Task != tk || evs[0].CPU != c.id || evs[1].CPU != c.id {
+			t.Fatalf("%s: trace %+v, want run-end then run-start of %v on cpu %d", name, evs, tk, c.id)
+		}
+		for id := range s.cpus {
+			if got, want := s.loadOf(id), loadRef(s, id); got != want {
+				t.Fatalf("%s: loadOf(%d) = %d, reference %d", name, id, got, want)
+			}
+		}
+	}
+
+	// An ungrouped task alone on cpu 0 restarts without the runqueue.
+	c0 := s.cpus[0]
+	lone := s.spawnTask(TaskSpec{Name: "lone", Program: Sequence()})
+	lone.remaining = sim.Second
+	s.makeRunnable(lone, 0)
+	masks := append([]uint64(nil), s.queuedMask...)
+	seq, load := s.rqSeq, s.loadOf(0)
+	sliceEnd(c0)
+	restarted("lone", c0, lone)
+	if s.rqSeq != seq {
+		t.Fatalf("lone: rqSeq %d -> %d, want no stamp", seq, s.rqSeq)
+	}
+	for w := range masks {
+		if s.queuedMask[w] != masks[w] {
+			t.Fatalf("lone: queuedMask word %d %#x -> %#x", w, masks[w], s.queuedMask[w])
+		}
+	}
+	if got := s.loadOf(0); got != load {
+		t.Fatalf("lone: cpu 0 load %d -> %d", load, got)
+	}
+
+	// A throttled group's task queued on cpu 0: the load still counts only
+	// the running task, but the queue is not empty, so the task goes
+	// through rqPush and pickLocal hands it back.
+	gThr := sr.r.cg.NewGroup("thr", 1, topology.CPUSet{})
+	if !gThr.Charge(0, gThr.Quota()) {
+		t.Fatal("group must throttle")
+	}
+	parked := sr.queue(0, 0, gThr, topology.CPUSet{})
+	seq = s.rqSeq
+	sliceEnd(c0)
+	restarted("throttled queue", c0, lone)
+	if s.rqSeq != seq+1 || c0.queued != 1 || parked.rqCPU != 0 {
+		t.Fatalf("throttled queue: rqSeq %d -> %d, cpu 0 queued %d, parked task on cpu %d; want one stamp and the parked task left queued",
+			seq, s.rqSeq, c0.queued, parked.rqCPU)
+	}
+
+	// Two grouped tasks, each alone on its CPU, the one on cpu 1 with the
+	// earlier slice end. That slice's charge exhausts the quota, and
+	// throttleGroup preempts the one on cpu 2, whose group is then already
+	// throttled: both must queue.
+	gq := sr.r.cg.NewGroup("q", 1, topology.CPUSet{})
+	if gq.Charge(1, gq.Quota()-sim.Microsecond) {
+		t.Fatal("group must not throttle before the slice")
+	}
+	var tq [2]*Task
+	for k := range tq {
+		tq[k] = s.spawnTask(TaskSpec{Name: "q", Group: gq, Program: Sequence()})
+		tq[k].remaining = sim.Second
+		s.makeRunnable(tq[k], 1+k)
+		eng.RunUntil(eng.Now() + sim.Microsecond)
+	}
+	seq = s.rqSeq
+	sliceEnd(s.cpus[1])
+	if !gq.Throttled() || s.bd.Throttles != 1 {
+		t.Fatalf("throttling charge: throttled %v, %d throttleGroup calls, want the group throttled once", gq.Throttled(), s.bd.Throttles)
+	}
+	for k, tk := range tq {
+		c := s.cpus[1+k]
+		if c.current != nil || tk.state != stateRunnable || tk.rqCPU != c.id || c.queued != 1 {
+			t.Fatalf("throttling charge: cpu %d runs %v, its task state %v on queue %d (queued %d); want it queued there",
+				c.id, c.current, tk.state, tk.rqCPU, c.queued)
+		}
+	}
+	if s.rqSeq != seq+2 {
+		t.Fatalf("throttling charge: rqSeq %d -> %d, want two stamps", seq, s.rqSeq)
+	}
+	if len(evs) != 3 || evs[0].Kind != TraceRunEnd || evs[1].Kind != TraceThrottle || evs[2].Kind != TraceRunEnd || evs[2].Task != tq[1] {
+		t.Fatalf("throttling charge: trace %+v, want run-end, throttle, then the second task's run-end", evs)
+	}
+}
+
 // TestAllocsConstructAndReset guards the load index's embedded backing: a
 // scheduler over the 112-CPU paper host constructs in three allocations
 // (the Scheduler, its cpuRun block and the CPU pointer table), and Reset

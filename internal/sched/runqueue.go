@@ -32,10 +32,11 @@ import (
 //     arbitrary task in O(log n).
 //
 // The sift/remove logic mirrors the position-tracked 4-ary heap in
-// sim/engine.go, specialized to *Task instead of *sim.Timer. The
-// duplication is deliberate (shared helpers would put non-inlinable
-// callbacks on the hottest loops); fixes to one must be mirrored in the
-// other.
+// sim/engine.go, specialized to *Task instead of *sim.Timer: both compare
+// keys by borrow and pick a full node's child with the same branch-free
+// two-round tournament. The duplication is deliberate (shared helpers
+// would put non-inlinable callbacks on the hottest loops); fixes to one
+// must be mirrored in the other.
 
 // rqEntry is one element of a subqueue heap: the task pointer plus a copy
 // of its (vruntime, rqSeq) sort key, so heap comparisons stay inside the
@@ -48,11 +49,15 @@ type rqEntry struct {
 	t        *Task
 }
 
-func entryLessRQ(a, b rqEntry) bool {
-	if a.vruntime != b.vruntime {
-		return a.vruntime < b.vruntime
-	}
-	return a.rqSeq < b.rqSeq
+// beforeRQ is 1 when a sorts before b in (vruntime, rqSeq) order and 0
+// otherwise: the borrow out of the 128-bit subtraction (a.vruntime,
+// a.rqSeq) - (b.vruntime, b.rqSeq), with the sign bit of vruntime flipped
+// so signed times compare as unsigned (sim.Engine's before, on this key).
+func beforeRQ(a, b rqEntry) int {
+	const flip = 1 << 63
+	_, borrow := bits.Sub64(a.rqSeq, b.rqSeq, 0)
+	_, borrow = bits.Sub64(uint64(a.vruntime)^flip, uint64(b.vruntime)^flip, borrow)
+	return int(borrow)
 }
 
 // subQueue is the runqueue partition of one cgroup on one CPU.
@@ -86,7 +91,7 @@ func (sq *subQueue) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 4
 		p := sq.h[parent]
-		if !entryLessRQ(ent, p) {
+		if beforeRQ(ent, p) == 0 {
 			break
 		}
 		sq.h[i] = p
@@ -106,17 +111,20 @@ func (sq *subQueue) siftDown(i int) {
 			break
 		}
 		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if entryLessRQ(sq.h[c], sq.h[best]) {
-				best = c
+		if first+4 <= n {
+			// A full node: a two-round tournament without branches.
+			c := (*[4]rqEntry)(sq.h[first : first+4])
+			b01, b23 := beforeRQ(c[1], c[0]), 2+beforeRQ(c[3], c[2])
+			best += b01 ^ (b01^b23)&-beforeRQ(c[b23&3], c[b01&3])
+		} else {
+			for c := first + 1; c < n; c++ {
+				if beforeRQ(sq.h[c], sq.h[best]) != 0 {
+					best = c
+				}
 			}
 		}
 		b := sq.h[best]
-		if !entryLessRQ(b, ent) {
+		if beforeRQ(b, ent) == 0 {
 			break
 		}
 		sq.h[i] = b
@@ -138,7 +146,9 @@ func (sq *subQueue) removeAt(i int) *Task {
 		sq.h[i] = moved
 		moved.t.rqPos = int32(i)
 		sq.siftDown(i)
-		sq.siftUp(i)
+		if i > 0 {
+			sq.siftUp(i) // the root has no parent to climb past
+		}
 	}
 	t.rqPos = -1
 	return t
@@ -208,7 +218,7 @@ func (s *Scheduler) pickLocal(c *cpuRun) *Task {
 		if len(sq.h) == 0 || sq.throttledQ() {
 			continue
 		}
-		if r := sq.h[0]; bestQ == nil || entryLessRQ(r, best) {
+		if r := sq.h[0]; bestQ == nil || beforeRQ(r, best) != 0 {
 			best, bestQ = r, sq
 		}
 	}
@@ -302,7 +312,7 @@ func (s *Scheduler) stealScan(c *cpuRun) *Task {
 					continue
 				}
 				load++
-				if best == nil || entryLessRQ(ent, bestKey) {
+				if best == nil || beforeRQ(ent, bestKey) != 0 {
 					best, bestKey, bestQ = ent.t, ent, sq
 				}
 			}

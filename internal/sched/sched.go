@@ -971,12 +971,10 @@ func (s *Scheduler) startSlice(c *cpuRun, t *Task) {
 	}
 	occ := over + work
 	// Accounting ticks over the slice for grouped tasks.
-	if g != nil && p.TickInterval > 0 {
-		if ticks := int64(occ / p.TickInterval); ticks > 0 {
-			a := g.AcctCostN(ticks)
-			occ += a
-			s.bd.AcctTime += a
-		}
+	if g != nil && p.TickInterval > 0 && occ >= p.TickInterval {
+		a := g.AcctCostN(int64(occ / p.TickInterval))
+		occ += a
+		s.bd.AcctTime += a
 	}
 
 	t.state = stateRunning
@@ -1069,6 +1067,17 @@ func (s *Scheduler) endSlice(c *cpuRun, workScaled sim.Time, full bool) {
 	if t.remaining <= 0 {
 		s.updateRunnable(t, -1)
 		s.chunkComplete(t, c.id)
+	} else if c.queued == 0 && (g == nil || !g.Throttled()) {
+		// Lone-task restart: nothing else is queued here, so there is no
+		// one to shed t for, and rqPush → dispatch → pickLocal would hand
+		// t straight back. A charge that throttled the group fails the
+		// guard too (throttleNow implies Throttled), as does a task that
+		// throttleGroup is preempting. Skipping the rqSeq stamp keeps the
+		// relative order of every queued task, as makeRunnable's direct
+		// dispatch does; the slice timer still re-arms through the event
+		// heap.
+		s.startSlice(c, t)
+		return
 	} else {
 		t.state = stateRunnable
 		dst := c
@@ -1100,10 +1109,29 @@ func (s *Scheduler) endSlice(c *cpuRun, workScaled sim.Time, full bool) {
 
 // leastLoadedCPU returns the allowed CPU with the smallest load, excluding
 // `except`; ties resolve to the lowest CPU id. Loads come from the synced
-// index, so each candidate costs one array read.
+// index, so each candidate costs one array read. `except` is left out by
+// giving it a sentinel load for the length of the scan, so neither of the
+// scan's loops tests CPU ids.
 func (s *Scheduler) leastLoadedCPU(t *Task, except *cpuRun) *cpuRun {
-	set, slice := s.cachedAffinity(t)
 	s.syncLoad()
+	if except == nil {
+		return s.leastLoadedScan(t)
+	}
+	saved := s.load[except.id]
+	s.load[except.id] = exceptLoad
+	c := s.leastLoadedScan(t)
+	s.load[except.id] = saved
+	return c
+}
+
+// exceptLoad is the sentinel load leastLoadedCPU gives `except`: above
+// any real load, and equal to the scan's starting minimum, so it never
+// wins.
+const exceptLoad = int32(1 << 30)
+
+// leastLoadedScan is leastLoadedCPU over the synced load index.
+func (s *Scheduler) leastLoadedScan(t *Task) *cpuRun {
+	set, slice := s.cachedAffinity(t)
 	// Fast path: load 0 (idle, nothing runnable queued) is the global
 	// minimum, and the pick is the first minimum in ascending order — so
 	// the first idle allowed CPU at load 0 wins outright. Word-masked, so
@@ -1118,32 +1146,22 @@ func (s *Scheduler) leastLoadedCPU(t *Task, except *cpuRun) *cpuRun {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
-			id := w<<6 | b
-			if except != nil && id == except.id {
-				continue
-			}
-			if s.load[id] == 0 {
+			if id := w<<6 | b; s.load[id] == 0 {
 				return s.cpus[id]
 			}
 		}
 	}
-	// No load-0 CPU available: scan for the true minimum. idleMask mirrors
-	// current == nil, so every allowed CPU now has load >= 1 and the first
-	// load-1 CPU in ascending order is the minimum.
-	var best *cpuRun
-	bestLoad := int32(1 << 30)
+	// No load-0 CPU available: the first minimum over the whole slice.
+	best, bestLoad := -1, exceptLoad
 	for _, id := range slice {
-		if except != nil && id == except.id {
-			continue
-		}
 		if l := s.load[id]; l < bestLoad {
-			best, bestLoad = s.cpus[id], l
-			if l <= 1 {
-				break
-			}
+			best, bestLoad = id, l
 		}
 	}
-	return best
+	if best < 0 {
+		return nil // `except` was the only allowed CPU
+	}
+	return s.cpus[best]
 }
 
 // chunkComplete fires when a compute or send chunk finishes.

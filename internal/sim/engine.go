@@ -162,9 +162,11 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // means "not queued").
 //
 // sched/runqueue.go carries a sibling of this position-tracked 4-ary heap
-// specialized to *Task. The duplication is deliberate — a shared helper
-// would need non-inlinable less/position callbacks on the hottest loops —
-// but it means heap-logic fixes must be mirrored there.
+// specialized to *Task, keyed by (vruntime, rqSeq). Both heaps compare by
+// borrow and pick a full node's child with the same two-round tournament.
+// The duplication is deliberate — a shared helper would need
+// non-inlinable less/position callbacks on the hottest loops — but it
+// means heap-logic fixes must be mirrored there.
 
 // before is 1 when a sorts before b in (at, seq) order and 0 otherwise:
 // the borrow out of the 128-bit subtraction (a.at, a.seq) - (b.at, b.seq),
